@@ -33,20 +33,6 @@ EXIT_DIVERGED = 4
 SPLIT_FILES = {"train": "train.eidd", "val": "val.eidd", "test": "test.eidd"}
 
 
-def _threads_from_env() -> int:
-    """EDGENET_THREADS caps worker parallelism; this implementation always
-    runs the single-threaded deterministic path, so the value is only
-    validated."""
-    raw = os.environ.get("EDGENET_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"EDGENET_THREADS must be an integer, got {raw!r}") from None
-    if n < 0:
-        raise ConfigError(f"EDGENET_THREADS must be >= 0, got {n}")
-    return n
-
-
 def _write_text(path: str, text: str) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
@@ -181,6 +167,8 @@ def cmd_predict(model_path: str, features_arg: str, threshold: float) -> int:
         values = np.array([float(v) for v in features_arg.split(",")])
     except ValueError:
         raise ConfigError("--features must be a comma-separated list of numbers") from None
+    if not np.all(np.isfinite(values)):
+        raise ConfigError("--features must be finite numbers (no nan or inf)")
     p = float(_model_scores(loaded, values[None, :])[0])
     label = int(p >= threshold)
     print(json.dumps({"probability": p, "label": label}))
@@ -250,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    _threads_from_env()
     if args.command == "preprocess":
         cfg = load_config(args.config)
         if args.seed is not None:

@@ -85,10 +85,6 @@ class RawTable:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def column(self, name: str) -> list:
-        idx = self.columns.index(name)
-        return [row[idx] for row in self.rows]
-
 
 def _parse_cell(raw: str, kind: str, row_no: int, col: str):
     value = raw.strip()
@@ -146,12 +142,6 @@ class EncodingMap:
             return self.codes[column][value]
         except KeyError:
             raise UnknownCategory(value, column) from None
-
-    def decode(self, column: str, code: int) -> str:
-        for value, c in self.codes[column].items():
-            if c == code:
-                return value
-        raise KeyError(f"code {code} not present for column '{column}'")
 
     def to_json(self) -> dict:
         return {col: dict(mapping) for col, mapping in self.codes.items()}

@@ -1,7 +1,9 @@
 """Three-phase training: dense, sparse with selective weight decay, re-dense.
 
-Each phase runs momentum SGD at its own learning rate (defaults 0.1, 0.01,
-0.001) with a shared momentum of 0.9. The sparse phase recomputes the
+One epoch loop, ``_run_phase``, serves all three phases and trains the
+network in place through its ``tensors()`` views. Each phase runs momentum
+SGD at its own learning rate (defaults 0.1, 0.01, 0.001) with a shared
+momentum of 0.9 and fresh momentum buffers. The sparse phase recomputes the
 magnitude mask every epoch along a linear sparsity ramp, re-applies the mask
 after every optimizer step, and adds the selective penalty a*TWD on the
 sub-threshold survivor subset. The re-dense phase lifts the mask so pruned
@@ -22,7 +24,7 @@ import numpy as np
 from .data_pipeline import DatasetSplit
 from .errors import ConfigError, NonFiniteLoss, SingleClassInput
 from .lstm_net import (NetworkParams, backward, bce_loss, forward_batch,
-                       init_params, is_weight_name)
+                       init_params)
 from .metrics import roc_curve
 from .optimizer import ParamTree, SgdmState, l2_term, sgdm_step
 from .pruning import (SparsityMask, SparsitySchedule, SwdConfig, apply_masks,
@@ -137,25 +139,20 @@ class TrainRun:
 
 @dataclass
 class TrainContext:
-    """Shared per-run state: PRNG streams, validation data, recording."""
+    """Shared per-run state: hyperparameters, PRNG streams, validation data,
+    recording."""
 
-    momentum: float = 0.9
-    weight_decay_mu: float = 1e-4
-    grad_clip_norm: float | None = 5.0
-    patience: int = 5
-    seq_len: int = 1
-    val: DatasetSplit | None = None
-    dropout_rng: np.random.Generator | None = None
-    shuffle_rng: np.random.Generator | None = None
+    momentum: float
+    weight_decay_mu: float
+    grad_clip_norm: float | None
+    patience: int
+    seq_len: int
+    val: DatasetSplit | None
+    dropout_rng: np.random.Generator
+    shuffle_rng: np.random.Generator
     records: list[EpochRecord] = field(default_factory=list)
     next_epoch: int = 0
     mask_violations: int = 0
-
-    @classmethod
-    def create(cls, seed: int = 0, **kwargs) -> "TrainContext":
-        drop_ss, shuf_ss = np.random.SeedSequence(seed).spawn(2)
-        return cls(dropout_rng=np.random.default_rng(drop_ss),
-                   shuffle_rng=np.random.default_rng(shuf_ss), **kwargs)
 
 
 def to_sequences(features: np.ndarray, seq_len: int) -> np.ndarray:
@@ -166,12 +163,12 @@ def to_sequences(features: np.ndarray, seq_len: int) -> np.ndarray:
     return features.reshape(n, seq_len, f // seq_len)
 
 
-def _clip_global_norm(grads: ParamTree, clip: float) -> ParamTree:
+def _clip_global_norm(grads: ParamTree, clip: float) -> None:
+    """Scale the gradients in place so their global L2 norm is at most ``clip``."""
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if total <= clip or total == 0.0:
-        return grads
-    scale = clip / total
-    return {k: g * scale for k, g in grads.items()}
+    if total > clip:
+        for g in grads.values():
+            g *= clip / total
 
 
 def _validate(net: NetworkParams, ctx: TrainContext) -> tuple[float, float]:
@@ -190,11 +187,12 @@ def _validate(net: NetworkParams, ctx: TrainContext) -> tuple[float, float]:
 def _run_phase(net: NetworkParams, data: DatasetSplit, cfg: PhaseConfig,
                ctx: TrainContext, phase: str, early_enabled: bool,
                swd: SwdConfig | None = None, sched: SparsitySchedule | None = None,
-               frozen_mask: SparsityMask | None = None):
-    """Shared epoch loop. Returns (theta tree, mask or None)."""
-    theta = {k: v.copy() for k, v in net.tensors().items()}
+               frozen_mask: SparsityMask | None = None) -> SparsityMask | None:
+    """Shared epoch loop; trains ``net`` in place. Returns the sparse phase's
+    final mask, None in the other phases."""
+    theta = net.tensors()
     state = SgdmState.init(theta, alpha=ctx.momentum, eta=cfg.learning_rate)
-    weight_names = [n for n in theta if is_weight_name(n)]
+    weight_names = net.weight_names()
     x_seq = to_sequences(data.features, ctx.seq_len)
     y = data.labels.astype(np.float64)
     n = len(y)
@@ -210,7 +208,7 @@ def _run_phase(net: NetworkParams, data: DatasetSplit, cfg: PhaseConfig,
         if phase == PHASE_SPARSE:
             sparsity = schedule_sparsity(min(e, sched.epochs - 1), sched)
             cur_mask = compute_masks({k: theta[k] for k in weight_names}, sparsity)
-            theta = apply_masks(theta, cur_mask)
+            apply_masks(theta, cur_mask)
             a = schedule_a(e, swd)
             report_sparsity = sparsity
         elif phase == PHASE_REDENSE:
@@ -223,16 +221,15 @@ def _run_phase(net: NetworkParams, data: DatasetSplit, cfg: PhaseConfig,
         n_batches = 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            cur_net = net.with_tensors(theta)
-            p, cache = forward_batch(cur_net, x_seq[idx], mode="train", rng=ctx.dropout_rng)
+            p, cache = forward_batch(net, x_seq[idx], mode="train", rng=ctx.dropout_rng)
             err = float(np.mean(bce_loss(p, y[idx])))
-            grads = backward(cur_net, cache, y[idx])
+            grads = backward(net, cache, y[idx])
 
             wd_pen = 0.0
             for wn in weight_names:
                 pen, g = l2_term(theta[wn], ctx.weight_decay_mu)
                 wd_pen += pen
-                grads[wn] = grads[wn] + g
+                grads[wn] += g
 
             twd_pen = 0.0
             if phase == PHASE_SPARSE and a > 0.0:
@@ -242,19 +239,17 @@ def _run_phase(net: NetworkParams, data: DatasetSplit, cfg: PhaseConfig,
                     twd, gvals = total_weight_decay(vals, swd.mu)
                     twd_pen += twd
                     if vals.size:
-                        scatter = np.zeros_like(theta[wn])
-                        scatter[sel] = gvals
-                        grads[wn] = grads[wn] + a * scatter
+                        grads[wn][sel] += a * gvals
 
             loss = err + wd_pen + a * twd_pen
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"{phase} phase diverged at epoch {e} (loss={loss})")
 
             if ctx.grad_clip_norm is not None:
-                grads = _clip_global_norm(grads, ctx.grad_clip_norm)
-            theta, state = sgdm_step(theta, grads, state)
+                _clip_global_norm(grads, ctx.grad_clip_norm)
+            sgdm_step(theta, grads, state)
             if phase == PHASE_SPARSE:
-                theta = apply_masks(theta, cur_mask)
+                apply_masks(theta, cur_mask)
                 for wn in weight_names:
                     pruned = ~cur_mask.masks[wn].astype(bool)
                     if np.any(theta[wn][pruned] != 0.0):
@@ -265,7 +260,7 @@ def _run_phase(net: NetworkParams, data: DatasetSplit, cfg: PhaseConfig,
             twd_sum += a * twd_pen
             n_batches += 1
 
-        val_loss, val_auc = _validate(net.with_tensors(theta), ctx)
+        val_loss, val_auc = _validate(net, ctx)
         err_m, wd_m, twd_m = err_sum / n_batches, wd_sum / n_batches, twd_sum / n_batches
         ctx.records.append(EpochRecord(
             epoch=ctx.next_epoch, phase=phase, train_loss=err_m + wd_m + twd_m,
@@ -283,39 +278,13 @@ def _run_phase(net: NetworkParams, data: DatasetSplit, cfg: PhaseConfig,
             else:
                 stall += 1
                 if stall >= ctx.patience:
-                    theta, cur_mask = best_theta, best_mask
                     break
 
     if early_enabled and best_theta is not None and best_metric > -np.inf:
-        theta, cur_mask = best_theta, best_mask
-    return theta, cur_mask
-
-
-def run_dense_phase(net: NetworkParams, data: DatasetSplit, cfg: PhaseConfig,
-                    ctx: TrainContext | None = None) -> NetworkParams:
-    """Momentum SGD with the base weight-decay penalty; no masks."""
-    ctx = ctx or TrainContext.create()
-    theta, _ = _run_phase(net, data, cfg, ctx, PHASE_DENSE, early_enabled=False)
-    return net.with_tensors(theta)
-
-
-def run_sparse_phase(net: NetworkParams, data: DatasetSplit, cfg: PhaseConfig,
-                     swd: SwdConfig, sched: SparsitySchedule,
-                     ctx: TrainContext | None = None) -> tuple[NetworkParams, SparsityMask]:
-    """Masked training along the sparsity ramp with the a*TWD penalty."""
-    ctx = ctx or TrainContext.create()
-    theta, mask = _run_phase(net, data, cfg, ctx, PHASE_SPARSE,
-                             early_enabled=False, swd=swd, sched=sched)
-    return net.with_tensors(theta), mask
-
-
-def run_redense_phase(net: NetworkParams, mask: SparsityMask, data: DatasetSplit,
-                      cfg: PhaseConfig, ctx: TrainContext | None = None) -> NetworkParams:
-    """Masks lifted: formerly pruned weights resume training from zero."""
-    ctx = ctx or TrainContext.create()
-    theta, _ = _run_phase(net, data, cfg, ctx, PHASE_REDENSE,
-                          early_enabled=False, frozen_mask=mask)
-    return net.with_tensors(theta)
+        for k, v in best_theta.items():
+            theta[k][...] = v
+        cur_mask = best_mask
+    return cur_mask
 
 
 def train_dsd(cfg: TrainerConfig, train_split: DatasetSplit, val_split: DatasetSplit,
@@ -343,22 +312,19 @@ def train_dsd(cfg: TrainerConfig, train_split: DatasetSplit, val_split: DatasetS
 
     run = TrainRun()
 
-    theta, _ = _run_phase(net, train_split, cfg.dense, ctx, PHASE_DENSE,
-                          early_enabled=cfg.early_stop.enabled(PHASE_DENSE))
-    net = net.with_tensors(theta)
+    _run_phase(net, train_split, cfg.dense, ctx, PHASE_DENSE,
+               early_enabled=cfg.early_stop.enabled(PHASE_DENSE))
     run.dense_params = net.copy()
 
-    theta, mask = _run_phase(net, train_split, cfg.sparse, ctx, PHASE_SPARSE,
-                             early_enabled=cfg.early_stop.enabled(PHASE_SPARSE),
-                             swd=cfg.swd, sched=cfg.sparsity_schedule())
-    net = net.with_tensors(theta)
+    mask = _run_phase(net, train_split, cfg.sparse, ctx, PHASE_SPARSE,
+                      early_enabled=cfg.early_stop.enabled(PHASE_SPARSE),
+                      swd=cfg.swd, sched=cfg.sparsity_schedule())
     run.sparse_params = net.copy()
     run.final_mask = mask
 
-    theta, _ = _run_phase(net, train_split, cfg.redense, ctx, PHASE_REDENSE,
-                          early_enabled=cfg.early_stop.enabled(PHASE_REDENSE),
-                          frozen_mask=mask)
-    net = net.with_tensors(theta)
+    _run_phase(net, train_split, cfg.redense, ctx, PHASE_REDENSE,
+               early_enabled=cfg.early_stop.enabled(PHASE_REDENSE),
+               frozen_mask=mask)
 
     run.records = ctx.records
     run.final_params = net

@@ -1,10 +1,17 @@
 """Stacked LSTM with a sigmoid head: forward, BCE loss, and exact BPTT.
 
-Gate layout follows the usual cell: forget f, input i, candidate j, output z,
-each driven by a weight matrix [H x (H+D)] acting on the concatenation
-[h_prev, x_t]. With ``tied_output_gate`` the output gate reuses the candidate
-weights (z = sigmoid of the same pre-activation that j takes tanh of);
-the default gives the output gate its own w_o / b_o.
+Each layer keeps its four gates in one stacked weight ``w`` [4H x (H+D)]
+acting on the concatenation [h_prev, x_t], with row blocks forget f, input i,
+candidate j and output o, plus one stacked bias ``b`` [4H]. A step is one
+matmul forward and one pair of matmuls backward. With ``tied_output_gate``
+the output gate reuses the candidate's pre-activation (z = sigmoid of what j
+takes tanh of) and the o block goes unused; the default gives the output
+gate its own rows.
+
+``NetworkParams.tensors()`` names the gate blocks one by one, as
+``layer{i}.w_{gate}`` and ``layer{i}.b_{gate}`` followed by ``head.w`` and
+``head.b``; each entry is a view into the stacked arrays, so writing through
+it updates the network in place. This naming is what containers store.
 
 Dropout is the inverted kind and is applied to each layer's output stream
 (the values fed upward to the next layer or the head), not to the in-layer
@@ -21,55 +28,39 @@ from .errors import CacheMismatch, ConfigError, DimensionMismatch
 
 ParamTree = dict[str, np.ndarray]
 
-GATE_NAMES = ("w_f", "w_i", "w_j", "w_o")
-BIAS_NAMES = ("b_f", "b_i", "b_j", "b_o")
+GATES = "fijo"  # row-block order of the stacked weight and bias
 
 BCE_CLAMP = 1e-7
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function in its tanh form, stable for any input."""
+    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=np.float64)))
 
 
 @dataclass
 class LstmLayerParams:
-    """One layer's gate weights [H x (H+D)] and biases [H]."""
+    """One layer's stacked gate weights [4H x (H+D)] and biases [4H]."""
 
-    w_f: np.ndarray
-    w_i: np.ndarray
-    w_j: np.ndarray
-    w_o: np.ndarray
-    b_f: np.ndarray
-    b_i: np.ndarray
-    b_j: np.ndarray
-    b_o: np.ndarray
+    w: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
-        shapes = {self.w_f.shape, self.w_i.shape, self.w_j.shape, self.w_o.shape}
-        if len(shapes) != 1:
-            raise DimensionMismatch(f"gate weight shapes differ: {shapes}")
-        h = self.w_f.shape[0]
-        for b in (self.b_f, self.b_i, self.b_j, self.b_o):
-            if b.shape != (h,):
-                raise DimensionMismatch(f"bias shape {b.shape} != ({h},)")
-        if self.w_f.shape[1] <= h:
+        if self.w.ndim != 2 or self.w.shape[0] % 4 or self.w.shape[0] == 0:
+            raise DimensionMismatch(f"stacked weight shape {self.w.shape} is not [4H x (H+D)]")
+        if self.b.shape != (self.w.shape[0],):
+            raise DimensionMismatch(f"bias shape {self.b.shape} != ({self.w.shape[0]},)")
+        if self.w.shape[1] <= self.hidden_size:
             raise DimensionMismatch(
-                f"weight matrix {self.w_f.shape} leaves no input columns for H={h}")
+                f"weight matrix {self.w.shape} leaves no input columns for H={self.hidden_size}")
 
     @property
     def hidden_size(self) -> int:
-        return self.w_f.shape[0]
+        return self.w.shape[0] // 4
 
     @property
     def input_size(self) -> int:
-        return self.w_f.shape[1] - self.hidden_size
+        return self.w.shape[1] - self.hidden_size
 
 
 @dataclass
@@ -100,31 +91,35 @@ class NetworkParams:
     def input_size(self) -> int:
         return self.layers[0].input_size
 
+    @property
+    def layer_sizes(self) -> list[int]:
+        return [self.input_size] + [l.hidden_size for l in self.layers]
+
     def tensors(self) -> ParamTree:
-        """All parameters as an ordered name -> array tree."""
+        """All parameters as an ordered name -> array tree of views."""
         tree: ParamTree = {}
         for idx, layer in enumerate(self.layers):
-            for name in GATE_NAMES + BIAS_NAMES:
-                tree[f"layer{idx}.{name}"] = getattr(layer, name)
+            h = layer.hidden_size
+            for kind, stacked in (("w", layer.w), ("b", layer.b)):
+                for k, gate in enumerate(GATES):
+                    tree[f"layer{idx}.{kind}_{gate}"] = stacked[k * h:(k + 1) * h]
         tree["head.w"] = self.head_w
         tree["head.b"] = self.head_b
         return tree
 
     def with_tensors(self, tree: ParamTree) -> "NetworkParams":
-        """New NetworkParams taking values from a congruent tree."""
-        layers = []
-        for idx in range(len(self.layers)):
-            kwargs = {name: np.asarray(tree[f"layer{idx}.{name}"], dtype=np.float64)
-                      for name in GATE_NAMES + BIAS_NAMES}
-            layers.append(LstmLayerParams(**kwargs))
-        return NetworkParams(layers=layers,
-                             head_w=np.asarray(tree["head.w"], dtype=np.float64),
-                             head_b=np.asarray(tree["head.b"], dtype=np.float64),
-                             dropout_rate=self.dropout_rate,
-                             tied_output_gate=self.tied_output_gate)
+        """New NetworkParams of this shape holding copies of a congruent tree."""
+        net = zeros_params(self.layer_sizes, dropout_rate=self.dropout_rate,
+                           tied_output_gate=self.tied_output_gate)
+        for name, view in net.tensors().items():
+            if np.shape(tree[name]) != view.shape:
+                raise DimensionMismatch(
+                    f"'{name}' has shape {np.shape(tree[name])}, expected {view.shape}")
+            view[...] = tree[name]
+        return net
 
     def copy(self) -> "NetworkParams":
-        return self.with_tensors({k: v.copy() for k, v in self.tensors().items()})
+        return self.with_tensors(self.tensors())
 
     def weight_names(self) -> list[str]:
         """Names of the prunable tensors: every weight matrix plus head.w."""
@@ -136,49 +131,31 @@ def is_weight_name(name: str) -> bool:
     return leaf.startswith("w")
 
 
-def init_params(layer_sizes, seed: int, init_scale_mode: str | float = "glorot",
-                dropout_rate: float = 0.1, tied_output_gate: bool = False) -> NetworkParams:
-    """Draw weights from N(0, std) per tensor; biases start at zero.
-
-    ``layer_sizes`` is (input_dim, hidden_1, ..., hidden_L). The default
-    "glorot" mode uses std = sqrt(2 / (fan_in + fan_out)); passing a float
-    uses that fixed std everywhere.
-    """
-    sizes = list(layer_sizes)
-    if len(sizes) < 2 or any(s < 1 for s in sizes):
-        raise ConfigError(f"layer_sizes needs input plus >=1 positive hidden size, got {sizes}")
-    rng = np.random.default_rng(seed)
-
-    def std_for(fan_in: int, fan_out: int) -> float:
-        if init_scale_mode == "glorot":
-            return float(np.sqrt(2.0 / (fan_in + fan_out)))
-        return float(init_scale_mode)
-
-    layers = []
-    for d, h in zip(sizes[:-1], sizes[1:]):
-        std = std_for(h + d, h)
-        gates = {name: rng.normal(0.0, std, size=(h, h + d)) for name in GATE_NAMES}
-        biases = {name: np.zeros(h) for name in BIAS_NAMES}
-        layers.append(LstmLayerParams(**gates, **biases))
-    h_last = sizes[-1]
-    head_w = rng.normal(0.0, std_for(h_last, 1), size=h_last)
-    return NetworkParams(layers=layers, head_w=head_w, head_b=np.zeros(()),
-                         dropout_rate=dropout_rate, tied_output_gate=tied_output_gate)
-
-
 def zeros_params(layer_sizes, dropout_rate: float = 0.1,
                  tied_output_gate: bool = False) -> NetworkParams:
-    """All-zero parameter set of the given shape (deserialization template)."""
+    """All-zero parameter set; ``layer_sizes`` is (input_dim, hidden_1, ..., hidden_L)."""
     sizes = list(layer_sizes)
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise ConfigError(f"layer_sizes needs input plus >=1 positive hidden size, got {sizes}")
-    layers = []
-    for d, h in zip(sizes[:-1], sizes[1:]):
-        gates = {name: np.zeros((h, h + d)) for name in GATE_NAMES}
-        biases = {name: np.zeros(h) for name in BIAS_NAMES}
-        layers.append(LstmLayerParams(**gates, **biases))
+    layers = [LstmLayerParams(w=np.zeros((4 * h, h + d)), b=np.zeros(4 * h))
+              for d, h in zip(sizes[:-1], sizes[1:])]
     return NetworkParams(layers=layers, head_w=np.zeros(sizes[-1]), head_b=np.zeros(()),
                          dropout_rate=dropout_rate, tied_output_gate=tied_output_gate)
+
+
+def init_params(layer_sizes, seed: int, dropout_rate: float = 0.1,
+                tied_output_gate: bool = False) -> NetworkParams:
+    """Glorot-normal weights, std = sqrt(2 / (fan_in + fan_out)) per gate
+    block and for the head; biases start at zero."""
+    net = zeros_params(layer_sizes, dropout_rate=dropout_rate,
+                       tied_output_gate=tied_output_gate)
+    rng = np.random.default_rng(seed)
+    for layer in net.layers:
+        fan_in, fan_out = layer.w.shape[1], layer.hidden_size
+        layer.w[...] = rng.normal(0.0, np.sqrt(2.0 / (fan_in + fan_out)), size=layer.w.shape)
+    h_last = net.head_w.size
+    net.head_w[...] = rng.normal(0.0, np.sqrt(2.0 / (h_last + 1)), size=h_last)
+    return net
 
 
 # --- forward ---
@@ -188,10 +165,7 @@ class LayerCache:
     inputs: list = field(default_factory=list)    # x_t after lower dropout, (B, D)
     h_prev: list = field(default_factory=list)    # (B, H); undropped recurrence
     c_prev: list = field(default_factory=list)
-    f: list = field(default_factory=list)
-    i: list = field(default_factory=list)
-    j: list = field(default_factory=list)
-    z: list = field(default_factory=list)
+    gates: list = field(default_factory=list)     # activated f, i, j, z blocks, (B, 4H)
     tanh_c: list = field(default_factory=list)
     out_scale: list = field(default_factory=list)  # inverted-dropout mask or None
 
@@ -207,44 +181,31 @@ class ForwardCache:
     seq_len: int
 
 
+def _gate_scale(hdim: int) -> np.ndarray:
+    """0.5 on the sigmoid blocks (f, i, o) and 1 on the tanh block j, so that
+    s * tanh(s * x) + (1 - s) is sigmoid(x) = 0.5 * (1 + tanh(x / 2)) or tanh(x)."""
+    s = np.full(4 * hdim, 0.5)
+    s[2 * hdim:3 * hdim] = 1.0
+    return s
+
+
 def _cell_math(layer: LstmLayerParams, x_t, h_prev, c_prev, tied: bool):
-    concat = np.concatenate([h_prev, x_t], axis=1)  # (B, H+D)
-    f = sigmoid(concat @ layer.w_f.T + layer.b_f)
-    i = sigmoid(concat @ layer.w_i.T + layer.b_i)
-    j_pre = concat @ layer.w_j.T + layer.b_j
-    j = np.tanh(j_pre)
+    """One step for a batch. Returns (h, c, gates, tanh_c) with ``gates`` the
+    activated [B, 4H] array: blocks f, i, j and the output gate z."""
+    hdim = layer.hidden_size
+    s = _gate_scale(hdim)
+    gates = np.concatenate([h_prev, x_t], axis=1) @ layer.w.T
+    gates += layer.b
     if tied:
-        z = sigmoid(j_pre)
-    else:
-        z = sigmoid(concat @ layer.w_o.T + layer.b_o)
+        gates[:, 3 * hdim:] = gates[:, 2 * hdim:3 * hdim]
+    gates *= s
+    np.tanh(gates, out=gates)
+    gates *= s
+    gates += 1.0 - s
+    f, i, j, z = (gates[:, k * hdim:(k + 1) * hdim] for k in range(4))
     c = f * c_prev + i * j
     tanh_c = np.tanh(c)
-    h = z * tanh_c
-    return h, c, {"f": f, "i": i, "j": j, "z": z, "tanh_c": tanh_c}
-
-
-def lstm_cell_forward(layer: LstmLayerParams, x_t, h_prev, c_prev,
-                      tied: bool = False):
-    """One cell step. Accepts vectors or (batch, dim) arrays.
-
-    Returns (h_t, c_t, gates) where gates holds f, i, j, z and tanh(c_t).
-    """
-    x_t = np.asarray(x_t, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    c_prev = np.asarray(c_prev, dtype=np.float64)
-    single = x_t.ndim == 1
-    if single:
-        x_t, h_prev, c_prev = x_t[None, :], h_prev[None, :], c_prev[None, :]
-    h = layer.hidden_size
-    if x_t.shape[1] != layer.input_size:
-        raise DimensionMismatch(f"x_t has {x_t.shape[1]} features, layer wants {layer.input_size}")
-    if h_prev.shape[1] != h or c_prev.shape[1] != h:
-        raise DimensionMismatch(f"state width != hidden size {h}")
-    h_t, c_t, gates = _cell_math(layer, x_t, h_prev, c_prev, tied)
-    if single:
-        h_t, c_t = h_t[0], c_t[0]
-        gates = {k: v[0] for k, v in gates.items()}
-    return h_t, c_t, gates
+    return z * tanh_c, c, gates, tanh_c
 
 
 def forward_batch(net: NetworkParams, x: np.ndarray, mode: str = "eval",
@@ -280,9 +241,9 @@ def forward_batch(net: NetworkParams, x: np.ndarray, mode: str = "eval",
             lc.inputs.append(inp)
             lc.h_prev.append(h)
             lc.c_prev.append(c)
-            h, c, g = _cell_math(layer, inp, h, c, net.tied_output_gate)
-            for k in ("f", "i", "j", "z", "tanh_c"):
-                getattr(lc, k).append(g[k])
+            h, c, gates, tanh_c = _cell_math(layer, inp, h, c, net.tied_output_gate)
+            lc.gates.append(gates)
+            lc.tanh_c.append(tanh_c)
             if rate > 0.0:
                 keep = (rng.random((batch, hdim)) >= rate)
                 scale = keep / (1.0 - rate)
@@ -299,16 +260,6 @@ def forward_batch(net: NetworkParams, x: np.ndarray, mode: str = "eval",
     cache = ForwardCache(mode=mode, tied=net.tied_output_gate, layers=caches,
                          head_input=head_input, p=p, batch_size=batch, seq_len=seq_len)
     return p, cache
-
-
-def forward(net: NetworkParams, sequence: np.ndarray, mode: str = "eval",
-            rng: np.random.Generator | None = None) -> tuple[float, ForwardCache]:
-    """Single sequence (T, D) -> anomaly probability."""
-    sequence = np.asarray(sequence, dtype=np.float64)
-    if sequence.ndim != 2:
-        raise DimensionMismatch(f"expected (time, features), got shape {sequence.shape}")
-    p, cache = forward_batch(net, sequence[None, :, :], mode=mode, rng=rng)
-    return float(p[0]), cache
 
 
 def bce_loss(p, y):
@@ -339,15 +290,16 @@ def backward(net: NetworkParams, cache: ForwardCache, y) -> ParamTree:
     if y.shape != (batch,):
         raise DimensionMismatch(f"labels shape {y.shape} != ({batch},)")
 
-    grads: ParamTree = {name: np.zeros_like(arr) for name, arr in net.tensors().items()}
+    grads = zeros_params(net.layer_sizes, dropout_rate=net.dropout_rate,
+                         tied_output_gate=net.tied_output_gate)
 
     # Head: d(mean loss)/d(pre-sigmoid) collapses to (p - y) / B wherever the
     # clamp is inactive; a clamped probability contributes zero gradient.
     p = cache.p
     live = (p > BCE_CLAMP) & (p < 1.0 - BCE_CLAMP)
     du = np.where(live, p - y, 0.0) / batch  # (B,)
-    grads["head.w"] = du @ cache.head_input
-    grads["head.b"] = np.asarray(np.sum(du))
+    grads.head_w[...] = du @ cache.head_input
+    grads.head_b[...] = np.sum(du)
     d_out_top = np.outer(du, net.head_w)  # (B, H_last)
 
     # Gradient flowing into each layer's output stream, per timestep.
@@ -355,45 +307,39 @@ def backward(net: NetworkParams, cache: ForwardCache, y) -> ParamTree:
     d_out[seq_len - 1] = d_out_top
 
     for idx in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[idx]
-        lc = cache.layers[idx]
+        layer, lc, g_layer = net.layers[idx], cache.layers[idx], grads.layers[idx]
         hdim = layer.hidden_size
+        f_, i_, j_, o_ = (slice(k * hdim, (k + 1) * hdim) for k in range(4))
         d_inputs = [None] * seq_len
         dh_rec = np.zeros((batch, hdim))
         dc_next = np.zeros((batch, hdim))
         for t in range(seq_len - 1, -1, -1):
             scale = lc.out_scale[t]
             dh = (d_out[t] * scale if scale is not None else d_out[t]) + dh_rec
-            f, i, j, z = lc.f[t], lc.i[t], lc.j[t], lc.z[t]
-            tanh_c = lc.tanh_c[t]
-            dz = dh * tanh_c
-            dc = dc_next + dh * z * (1.0 - tanh_c * tanh_c)
-            df = dc * lc.c_prev[t]
-            di = dc * j
-            dj = dc * i
-            dc_next = dc * f
-            df_pre = df * f * (1.0 - f)
-            di_pre = di * i * (1.0 - i)
-            dj_pre = dj * (1.0 - j * j)
-            dz_pre = dz * z * (1.0 - z)
+            gates, tanh_c = lc.gates[t], lc.tanh_c[t]
+            dc = dc_next + dh * gates[:, o_] * (1.0 - tanh_c * tanh_c)
+            # d(loss)/d(gate activation), then through sigmoid or tanh
+            d_pre = np.empty_like(gates)
+            d_pre[:, f_] = dc * lc.c_prev[t]
+            d_pre[:, i_] = dc * gates[:, j_]
+            d_pre[:, j_] = dc * gates[:, i_]
+            d_pre[:, o_] = dh * tanh_c
+            dc_next = dc * gates[:, f_]
+            slope = gates * (1.0 - gates)
+            slope[:, j_] = 1.0 - gates[:, j_] * gates[:, j_]
+            d_pre *= slope
+            if cache.tied:
+                # z shares the j pre-activation; the o block stays unused.
+                d_pre[:, j_] += d_pre[:, o_]
+                d_pre[:, o_] = 0.0
             concat = np.concatenate([lc.h_prev[t], lc.inputs[t]], axis=1)
-            prefix = f"layer{idx}."
-            if net.tied_output_gate:
-                # j and z share one pre-activation; w_o / b_o stay unused.
-                gate_grads = (("w_f", "b_f", df_pre), ("w_i", "b_i", di_pre),
-                              ("w_j", "b_j", dj_pre + dz_pre))
-            else:
-                gate_grads = (("w_f", "b_f", df_pre), ("w_i", "b_i", di_pre),
-                              ("w_j", "b_j", dj_pre), ("w_o", "b_o", dz_pre))
-            d_concat = np.zeros_like(concat)
-            for w_name, b_name, dg in gate_grads:
-                grads[prefix + w_name] += dg.T @ concat
-                grads[prefix + b_name] += dg.sum(axis=0)
-                d_concat += dg @ getattr(layer, w_name)
+            g_layer.w += d_pre.T @ concat
+            g_layer.b += d_pre.sum(axis=0)
+            d_concat = d_pre @ layer.w
             dh_rec = d_concat[:, :hdim]
             d_inputs[t] = d_concat[:, hdim:]
         d_out = d_inputs
-    return grads
+    return grads.tensors()
 
 
 def scores(net: NetworkParams, x: np.ndarray) -> np.ndarray:
@@ -403,12 +349,3 @@ def scores(net: NetworkParams, x: np.ndarray) -> np.ndarray:
         x = x[:, None, :]
     p, _ = forward_batch(net, x, mode="eval")
     return p
-
-
-def predict(net: NetworkParams, x: np.ndarray, threshold: float = 0.5) -> int:
-    """Classify one record; probabilities at or above the threshold are anomalies."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    p, _ = forward(net, x, mode="eval")
-    return int(p >= threshold)

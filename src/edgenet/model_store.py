@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadMagic, CrcMismatch, MaskViolation, StoreError,
-                     VersionUnsupported)
+from .errors import (BadMagic, CrcMismatch, EdgenetError, MaskViolation,
+                     StoreError, VersionUnsupported)
 from .lstm_net import NetworkParams, zeros_params
 from .pruning import SparsityMask
 from .quantizer import QuantizedModel, QuantizedTensor, QuantParams
@@ -217,15 +217,11 @@ def _arch_dict(layer_sizes, dropout_rate, tied, quant_range=None) -> dict:
     return arch
 
 
-def _net_arch(net: NetworkParams):
-    return [net.input_size] + [l.hidden_size for l in net.layers]
-
-
 def save_dense(net: NetworkParams, path: str) -> None:
     """Float32 container with every tensor stored dense."""
     tensors = [_TensorSpec(name=name, dtype=DTYPE_F32, encoding=ENC_DENSE, arr=arr)
                for name, arr in net.tensors().items()]
-    _write_container(path, _arch_dict(_net_arch(net), net.dropout_rate,
+    _write_container(path, _arch_dict(net.layer_sizes, net.dropout_rate,
                                       net.tied_output_gate), tensors)
 
 
@@ -241,7 +237,7 @@ def save_sparse(net: NetworkParams, mask: SparsityMask, path: str) -> None:
                                        encoding=ENC_BITMAP, arr=arr, keep=keep))
         else:
             tensors.append(_TensorSpec(name=name, dtype=DTYPE_F32, encoding=ENC_DENSE, arr=arr))
-    _write_container(path, _arch_dict(_net_arch(net), net.dropout_rate,
+    _write_container(path, _arch_dict(net.layer_sizes, net.dropout_rate,
                                       net.tied_output_gate), tensors)
 
 
@@ -264,19 +260,29 @@ def save_quantized(qm: QuantizedModel, path: str) -> None:
 
 
 def load_model(path: str) -> LoadedModel:
-    """Load any container, auto-detecting float vs quantized payloads."""
+    """Load any container, auto-detecting float vs quantized payloads.
+
+    Contents that cannot form a valid model (bad architecture, tensor names
+    or shapes that do not fit it, invalid quantization parameters) raise
+    StoreError.
+    """
     arch, entries = _read_container(path)
     for e in entries:
         if not e["crc_ok"]:
             raise CrcMismatch(e["name"])
     try:
         return _assemble_model(arch, entries)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (EdgenetError, KeyError, TypeError, ValueError) as exc:
         raise StoreError(f"{path}: malformed container contents ({exc})") from exc
 
 
 def _assemble_model(arch: dict, entries: list) -> LoadedModel:
-    layer_sizes = arch["layer_sizes"]
+    template = zeros_params(arch["layer_sizes"], dropout_rate=arch["dropout_rate"],
+                            tied_output_gate=arch["tied_output_gate"])
+    expected = {name: arr.shape for name, arr in template.tensors().items()}
+    found = {e["name"]: e["shape"] for e in entries}
+    if found != expected:
+        raise StoreError("tensor names or shapes do not fit the architecture")
     quantized = any(e["dtype"] == DTYPE_I8 for e in entries)
     masks: dict[str, np.ndarray] = {}
 
@@ -284,14 +290,11 @@ def _assemble_model(arch: dict, entries: list) -> LoadedModel:
         tree = {}
         for e in entries:
             values, keep = _decode_payload(e["payload"], e["dtype"], e["encoding"], e["shape"])
-            tree[e["name"]] = values.astype(np.float64)
+            tree[e["name"]] = values
             if keep is not None:
                 masks[e["name"]] = keep.astype(np.uint8)
-        template = zeros_params(layer_sizes, dropout_rate=arch["dropout_rate"],
-                                tied_output_gate=arch["tied_output_gate"])
-        net = template.with_tensors(tree)
         mask = _mask_from(masks) if masks else None
-        return LoadedModel(kind="float", params=net, mask=mask)
+        return LoadedModel(kind="float", params=template.with_tensors(tree), mask=mask)
 
     q_min, q_max = arch.get("quant_range", [-128, 127])
     weights: dict[str, QuantizedTensor] = {}
@@ -311,9 +314,9 @@ def _assemble_model(arch: dict, entries: list) -> LoadedModel:
             values, _ = _decode_payload(e["payload"], DTYPE_F32, e["encoding"], e["shape"])
             biases[e["name"]] = values.astype(np.float32)
     mask = _mask_from(masks) if masks else None
-    qm = QuantizedModel(weights=weights, biases=biases, layer_sizes=layer_sizes,
-                        dropout_rate=arch["dropout_rate"],
-                        tied_output_gate=arch["tied_output_gate"], mask=mask)
+    qm = QuantizedModel(weights=weights, biases=biases, layer_sizes=template.layer_sizes,
+                        dropout_rate=template.dropout_rate,
+                        tied_output_gate=template.tied_output_gate, mask=mask)
     return LoadedModel(kind="quantized", qmodel=qm, mask=mask)
 
 
@@ -323,25 +326,11 @@ def _mask_from(masks: dict[str, np.ndarray]) -> SparsityMask:
     return SparsityMask(masks=masks, current_sparsity=zeros / total if total else 0.0)
 
 
-def load_dense(path: str) -> NetworkParams:
-    loaded = load_model(path)
-    if loaded.kind != "float" or loaded.mask is not None:
-        raise StoreError(f"{path} is not a dense float container")
-    return loaded.params
-
-
 def load_sparse(path: str) -> tuple[NetworkParams, SparsityMask]:
     loaded = load_model(path)
     if loaded.kind != "float" or loaded.mask is None:
         raise StoreError(f"{path} is not a sparse float container")
     return loaded.params, loaded.mask
-
-
-def load_quantized(path: str) -> QuantizedModel:
-    loaded = load_model(path)
-    if loaded.kind != "quantized":
-        raise StoreError(f"{path} is not a quantized container")
-    return loaded.qmodel
 
 
 def inspect(path: str) -> list[TensorRecord]:

@@ -1,8 +1,10 @@
-"""Parameter update rules: plain SGD, SGD with momentum, L2 weight decay.
+"""Parameter updates: SGD with momentum and the L2 weight-decay term.
 
-All functions are pure and operate on "parameter trees": ordered dicts
-mapping tensor names to numpy arrays. The momentum update stores the
-previous parameter change and applies
+Functions operate on "parameter trees": ordered dicts mapping tensor names
+to numpy arrays. The momentum step updates the parameter arrays and the
+momentum buffers in place, so a tree of views (``NetworkParams.tensors()``)
+trains its network directly. It stores the previous parameter change and
+applies
 
     update = -eta * grad + alpha * previous_update
 
@@ -29,10 +31,6 @@ def _check_congruent(a: ParamTree, b: ParamTree, what: str) -> None:
                 f"{what}: shape mismatch for '{name}': {a[name].shape} vs {b[name].shape}")
 
 
-def zeros_like_tree(tree: ParamTree) -> ParamTree:
-    return {name: np.zeros_like(arr) for name, arr in tree.items()}
-
-
 @dataclass
 class SgdmState:
     """Momentum state: the previous per-tensor parameter change."""
@@ -49,23 +47,18 @@ class SgdmState:
 
     @classmethod
     def init(cls, params: ParamTree, alpha: float = 0.9, eta: float = 0.1) -> "SgdmState":
-        return cls(delta_prev=zeros_like_tree(params), alpha=alpha, eta=eta)
+        return cls(delta_prev={name: np.zeros_like(arr) for name, arr in params.items()},
+                   alpha=alpha, eta=eta)
 
 
-def sgd_step(theta: ParamTree, grad: ParamTree, eta: float) -> ParamTree:
-    """theta' = theta - eta * grad, elementwise."""
-    _check_congruent(theta, grad, "sgd_step")
-    return {name: theta[name] - eta * grad[name] for name in theta}
-
-
-def sgdm_step(theta: ParamTree, grad: ParamTree, state: SgdmState) -> tuple[ParamTree, SgdmState]:
-    """Momentum step; returns the new parameters and the new state."""
+def sgdm_step(theta: ParamTree, grad: ParamTree, state: SgdmState) -> None:
+    """Momentum step, in place on ``theta`` and ``state.delta_prev``."""
     _check_congruent(theta, grad, "sgdm_step")
     _check_congruent(theta, state.delta_prev, "sgdm_step state")
-    delta = {name: -state.eta * grad[name] + state.alpha * state.delta_prev[name]
-             for name in theta}
-    new_theta = {name: theta[name] + delta[name] for name in theta}
-    return new_theta, SgdmState(delta_prev=delta, alpha=state.alpha, eta=state.eta)
+    for name, delta in state.delta_prev.items():
+        delta *= state.alpha
+        delta -= state.eta * grad[name]
+        theta[name] += delta
 
 
 def l2_term(weights: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
@@ -78,26 +71,3 @@ def l2_term(weights: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
     w = np.asarray(weights, dtype=np.float64)
     penalty = float(mu * np.sum(w * w))
     return penalty, 2.0 * mu * w
-
-
-def l2_tree(weights: ParamTree, mu: float) -> tuple[float, ParamTree]:
-    """Summed L2 penalty and per-tensor gradients over a tree of weights."""
-    total = 0.0
-    grads: ParamTree = {}
-    for name, w in weights.items():
-        pen, g = l2_term(w, mu)
-        total += pen
-        grads[name] = g
-    return total, grads
-
-
-@dataclass(frozen=True)
-class RegConfig:
-    """Weight-decay coefficient and overall regularization strength."""
-
-    mu: float = 1e-4
-    lambda_reg: float = 1.0
-
-    def __post_init__(self):
-        if self.mu < 0.0 or self.lambda_reg < 0.0:
-            raise ConfigError("regularization coefficients must be non-negative")

@@ -121,10 +121,10 @@ def apply_mask(w: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def apply_masks(tree: ParamTree, sm: SparsityMask) -> ParamTree:
-    out = dict(tree)
+    """Zero the pruned entries of every masked tensor in place; returns the tree."""
     for name, mask in sm.masks.items():
-        out[name] = apply_mask(tree[name], mask)
-    return out
+        tree[name][...] = apply_mask(tree[name], mask)
+    return tree
 
 
 def select_swd_subset(w: np.ndarray, mask: np.ndarray, a: float,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, EmptyTensor
+from .errors import ConfigError, EmptyTensor
 from .lstm_net import NetworkParams, forward_batch, is_weight_name, zeros_params
 from .pruning import SparsityMask
 
@@ -120,8 +120,7 @@ def quantize_model(net: NetworkParams, mask: SparsityMask | None = None,
             weights[name] = quantize(arr, params)
         else:
             biases[name] = np.asarray(arr, dtype=np.float32)
-    layer_sizes = [net.input_size] + [l.hidden_size for l in net.layers]
-    return QuantizedModel(weights=weights, biases=biases, layer_sizes=layer_sizes,
+    return QuantizedModel(weights=weights, biases=biases, layer_sizes=net.layer_sizes,
                           dropout_rate=net.dropout_rate,
                           tied_output_gate=net.tied_output_gate, mask=mask)
 
@@ -136,17 +135,6 @@ def dequantized_net(qm: QuantizedModel) -> NetworkParams:
     template = zeros_params(qm.layer_sizes, dropout_rate=qm.dropout_rate,
                             tied_output_gate=qm.tied_output_gate)
     return template.with_tensors(tree)
-
-
-def quantized_forward(qm: QuantizedModel, sequence: np.ndarray) -> float:
-    """Inference with int8 weights dequantized on use; all activations float."""
-    sequence = np.asarray(sequence, dtype=np.float64)
-    if sequence.ndim == 1:
-        sequence = sequence[None, :]
-    if sequence.ndim != 2:
-        raise DimensionMismatch(f"expected (time, features), got {sequence.shape}")
-    p, _ = forward_batch(dequantized_net(qm), sequence[None, :, :], mode="eval")
-    return float(p[0])
 
 
 def quantized_scores(qm: QuantizedModel, x: np.ndarray) -> np.ndarray:

@@ -144,12 +144,14 @@ class TestErrorPaths:
         rc = main(["evaluate", "m.eidm", "d.eidd", "--threshold", "1.5"])
         assert rc == 1
 
-    def test_threads_env_validated(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("EDGENET_THREADS", "many")
-        rc = main(["dump", str(tmp_path / "nope.eidm")])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_features_rejected(self, tmp_path, capsys, bad):
+        model = str(tmp_path / "zero.eidm")
+        save_dense(zeros_params((3, 4), dropout_rate=0.0), model)
+        rc = main(["predict", model, "--features", f"0.5,{bad},0.5"])
         assert rc == 1
-        monkeypatch.setenv("EDGENET_THREADS", "-1")
-        assert main(["dump", str(tmp_path / "nope.eidm")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "ConfigError" in captured.err
 
     def test_divergence_exit_code(self, workdir):
         tmp, cfg, csv = workdir

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -55,9 +56,8 @@ class TestLoadCsv:
     def test_three_rows_read_back(self, tmp_path):
         table = load_csv(write(tmp_path, CSV_OK), schema_dur_proto())
         assert len(table) == 3
-        assert table.column("proto") == ["tcp", "udp", "icmp"]
-        assert table.column("dur") == [1.0, 2.0, 6.0]
-        assert table.column("label") == [0, 1, 0]
+        assert table.columns == ["dur", "proto", "label"]
+        assert table.rows == [[1.0, "tcp", 0], [2.0, "udp", 1], [6.0, "icmp", 0]]
 
     def test_missing_schema_column(self, tmp_path):
         path = write(tmp_path, "dur,label\n1.0,0\n")
@@ -114,8 +114,9 @@ class TestEncoding:
 
     def test_round_trip(self):
         enc = EncodingMap(codes={"proto": {"icmp": 0, "tcp": 1, "udp": 2}})
-        for value in ("icmp", "tcp", "udp"):
-            assert enc.decode("proto", enc.encode("proto", value)) == value
+        back = EncodingMap.from_json(json.loads(json.dumps(enc.to_json())))
+        for code, value in enumerate(("icmp", "tcp", "udp")):
+            assert back.encode("proto", value) == enc.encode("proto", value) == code
 
     def test_unknown_category(self):
         enc = EncodingMap(codes={"proto": {"tcp": 0}})
@@ -183,7 +184,7 @@ class TestTransform:
     def test_order_preserving(self, tmp_path):
         ds, table = self.run("dur,proto,label\n1,tcp,0\n3,tcp,0\n2,tcp,1\n9,tcp,1\n",
                              tmp_path=tmp_path)
-        raw = np.array(table.column("dur"))
+        raw = np.array([row[table.columns.index("dur")] for row in table.rows])
         order = np.argsort(raw)
         transformed = ds.features[:, 0]
         assert np.all(np.diff(transformed[order]) >= 0.0)

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from edgenet.data_pipeline import DatasetSplit, split
-from edgenet.dsd_trainer import (ArchConfig, EarlyStopPolicy, PhaseConfig,
-                                 TrainContext, TrainerConfig, run_dense_phase,
-                                 run_redense_phase, run_sparse_phase,
+from edgenet.dsd_trainer import (PHASE_DENSE, PHASE_REDENSE, PHASE_SPARSE,
+                                 ArchConfig, EarlyStopPolicy, PhaseConfig,
+                                 TrainContext, TrainerConfig, _run_phase,
                                  to_sequences, train_dsd)
 from edgenet.errors import ConfigError, NonFiniteLoss
-from edgenet.lstm_net import backward, forward_batch, init_params, scores
+from edgenet.lstm_net import (NetworkParams, backward, forward_batch,
+                              init_params, scores)
 from edgenet.optimizer import SgdmState, l2_term, sgdm_step
 from edgenet.pruning import SparsitySchedule, SwdConfig
 from edgenet.synthetic import make_synthetic
@@ -26,6 +27,20 @@ def separable_data(n=200):
     x = x[keep]
     y = (x[:, 0] > x[:, 1]).astype(np.int64)
     return DatasetSplit(features=x, labels=y, row_ids=np.arange(len(y)))
+
+
+def make_ctx(seed, mu=1e-4, clip=5.0):
+    """Context with the trainer's default hyperparameters and two PRNG
+    streams spawned from ``seed``; no validation data."""
+    drop_ss, shuf_ss = np.random.SeedSequence(seed).spawn(2)
+    return TrainContext(momentum=0.9, weight_decay_mu=mu, grad_clip_norm=clip, patience=5,
+                        seq_len=1, val=None, dropout_rng=np.random.default_rng(drop_ss),
+                        shuffle_rng=np.random.default_rng(shuf_ss))
+
+
+def sparse_phase(net, data, cfg, sched, ctx, swd=None):
+    return _run_phase(net, data, cfg, ctx, PHASE_SPARSE, early_enabled=False,
+                      swd=swd or SwdConfig(), sched=sched)
 
 
 def small_cfg(**overrides):
@@ -65,43 +80,61 @@ class TestDensePhase:
     def test_zero_learning_rate_is_fixed_point(self):
         tr, va, te = toy_data()
         net = init_params((10, 8), seed=1, dropout_rate=0.1)
-        ctx = TrainContext.create(seed=3)
-        out = run_dense_phase(net, tr, PhaseConfig(learning_rate=0.0, epochs=2,
-                                                   batch_size=64), ctx)
-        for name, arr in net.tensors().items():
-            np.testing.assert_array_equal(out.tensors()[name], arr)
+        before = net.copy()
+        _run_phase(net, tr, PhaseConfig(learning_rate=0.0, epochs=2, batch_size=64),
+                   make_ctx(3), PHASE_DENSE, early_enabled=False)
+        for name, arr in before.tensors().items():
+            np.testing.assert_array_equal(net.tensors()[name], arr)
 
     def test_one_epoch_one_batch_is_one_sgdm_step(self):
         tr, _, _ = toy_data(n=80)
         net = init_params((10, 8), seed=2, dropout_rate=0.1)
+        start = net.copy()
         cfg = PhaseConfig(learning_rate=0.05, epochs=1, batch_size=10_000)
         mu = 1e-4
-        out = run_dense_phase(net, tr, cfg, TrainContext.create(seed=9,
-                                                                weight_decay_mu=mu,
-                                                                grad_clip_norm=None))
+        _run_phase(net, tr, cfg, make_ctx(9, mu=mu, clip=None), PHASE_DENSE,
+                   early_enabled=False)
         # identical PRNG streams reproduce the exact batch order and masks
-        ctx2 = TrainContext.create(seed=9)
+        ctx2 = make_ctx(9)
         order = ctx2.shuffle_rng.permutation(len(tr))
         x_seq = to_sequences(tr.features, 1)[order]
         y = tr.labels.astype(np.float64)[order]
-        _, cache = forward_batch(net, x_seq, mode="train", rng=ctx2.dropout_rng)
-        grads = backward(net, cache, y)
-        theta = net.tensors()
-        for name in net.weight_names():
+        _, cache = forward_batch(start, x_seq, mode="train", rng=ctx2.dropout_rng)
+        grads = backward(start, cache, y)
+        theta = start.tensors()
+        for name in start.weight_names():
             grads[name] = grads[name] + l2_term(theta[name], mu)[1]
-        expect, _ = sgdm_step(theta, grads, SgdmState.init(theta, alpha=0.9, eta=0.05))
-        for name in theta:
-            np.testing.assert_array_equal(out.tensors()[name], expect[name])
+        sgdm_step(theta, grads, SgdmState.init(theta, alpha=0.9, eta=0.05))
+        for name, arr in start.tensors().items():
+            np.testing.assert_array_equal(net.tensors()[name], arr)
 
     def test_loss_strictly_decreases_on_separable_data(self):
         data = separable_data()
         net = init_params((2, 8, 8), seed=4, dropout_rate=0.0)
-        ctx = TrainContext.create(seed=1)
-        run_dense_phase(net, data, PhaseConfig(learning_rate=0.1, epochs=5,
-                                               batch_size=10_000), ctx)
+        ctx = make_ctx(1)
+        _run_phase(net, data, PhaseConfig(learning_rate=0.1, epochs=5, batch_size=10_000),
+                   ctx, PHASE_DENSE, early_enabled=False)
         losses = [r.train_loss for r in ctx.records]
         assert len(losses) == 5
         assert all(b < a for a, b in zip(losses, losses[1:]))
+
+    def test_trains_in_place_without_rebuilding(self, monkeypatch):
+        tr, _, _ = toy_data()
+        net = init_params((10, 8), seed=1, dropout_rate=0.1)
+        stacked = net.layers[0].w
+        before = stacked.copy()
+        rebuilds = []
+        original = NetworkParams.with_tensors
+
+        def counted(self, tree):
+            rebuilds.append(tree)
+            return original(self, tree)
+
+        monkeypatch.setattr(NetworkParams, "with_tensors", counted)
+        _run_phase(net, tr, PhaseConfig(learning_rate=0.1, epochs=2, batch_size=64),
+                   make_ctx(3), PHASE_DENSE, early_enabled=False)
+        assert rebuilds == []
+        assert net.layers[0].w is stacked and not np.array_equal(stacked, before)
 
 
 class TestSparsePhase:
@@ -109,12 +142,11 @@ class TestSparsePhase:
         tr, va, _ = toy_data()
         net = init_params((10, 8, 8), seed=5, dropout_rate=0.1)
         sched = SparsitySchedule(initial=0.25, final=0.8, epochs=4)
-        ctx = TrainContext.create(seed=11)
-        out, mask = run_sparse_phase(net, tr, PhaseConfig(0.01, 4, 64),
-                                     SwdConfig(), sched, ctx)
+        ctx = make_ctx(11)
+        mask = sparse_phase(net, tr, PhaseConfig(0.01, 4, 64), sched, ctx)
         assert ctx.mask_violations == 0
         for name, m in mask.masks.items():
-            arr = out.tensors()[name]
+            arr = net.tensors()[name]
             n = arr.size
             assert int(m.sum()) == int(np.ceil(0.2 * n))
             pruned = arr[~m.astype(bool)]
@@ -125,9 +157,8 @@ class TestSparsePhase:
         tr, _, _ = toy_data()
         net = init_params((10, 8), seed=6, dropout_rate=0.1)
         sched = SparsitySchedule(initial=0.5, final=0.5, epochs=3)
-        ctx = TrainContext.create(seed=2)
-        run_sparse_phase(net, tr, PhaseConfig(0.01, 3, 64),
-                         SwdConfig(mu=0.0), sched, ctx)
+        ctx = make_ctx(2)
+        sparse_phase(net, tr, PhaseConfig(0.01, 3, 64), sched, ctx, swd=SwdConfig(mu=0.0))
         assert all(r.a_twd == 0.0 for r in ctx.records)
         assert all(r.a > 0.0 for r in ctx.records)  # a still advances
 
@@ -135,8 +166,8 @@ class TestSparsePhase:
         tr, _, _ = toy_data()
         net = init_params((10, 8), seed=6, dropout_rate=0.1)
         sched = SparsitySchedule(initial=0.25, final=0.8, epochs=4)
-        ctx = TrainContext.create(seed=2)
-        run_sparse_phase(net, tr, PhaseConfig(0.01, 4, 64), SwdConfig(), sched, ctx)
+        ctx = make_ctx(2)
+        sparse_phase(net, tr, PhaseConfig(0.01, 4, 64), sched, ctx)
         ramps = [r.sparsity for r in ctx.records]
         np.testing.assert_allclose(ramps, [0.25, 0.25 + 0.55 / 3,
                                            0.25 + 2 * 0.55 / 3, 0.8])
@@ -147,14 +178,15 @@ class TestRedensePhase:
         tr, _, _ = toy_data()
         net = init_params((10, 8), seed=7, dropout_rate=0.1)
         sched = SparsitySchedule(initial=0.6, final=0.6, epochs=2)
-        ctx = TrainContext.create(seed=3)
-        sparse_net, mask = run_sparse_phase(net, tr, PhaseConfig(0.01, 2, 64),
-                                            SwdConfig(), sched, ctx)
-        out = run_redense_phase(sparse_net, mask, tr, PhaseConfig(0.001, 2, 64), ctx)
+        ctx = make_ctx(3)
+        mask = sparse_phase(net, tr, PhaseConfig(0.01, 2, 64), sched, ctx)
+        sparse_net = net.copy()
+        _run_phase(net, tr, PhaseConfig(0.001, 2, 64), ctx, PHASE_REDENSE,
+                   early_enabled=False, frozen_mask=mask)
         revived = 0
         for name, m in mask.masks.items():
             pruned_before = sparse_net.tensors()[name][~m.astype(bool)]
-            after = out.tensors()[name][~m.astype(bool)]
+            after = net.tensors()[name][~m.astype(bool)]
             assert np.all(pruned_before == 0.0)
             revived += int(np.count_nonzero(after))
         assert revived > 0  # masks lifted, formerly-pruned weights moved
@@ -163,11 +195,11 @@ class TestRedensePhase:
         tr, _, _ = toy_data()
         net = init_params((10, 8), seed=7, dropout_rate=0.1)
         sched = SparsitySchedule(initial=0.6, final=0.6, epochs=2)
-        ctx = TrainContext.create(seed=3)
-        sparse_net, mask = run_sparse_phase(net, tr, PhaseConfig(0.01, 2, 64),
-                                            SwdConfig(), sched, ctx)
+        ctx = make_ctx(3)
+        mask = sparse_phase(net, tr, PhaseConfig(0.01, 2, 64), sched, ctx)
         n_before = len(ctx.records)
-        run_redense_phase(sparse_net, mask, tr, PhaseConfig(0.001, 2, 64), ctx)
+        _run_phase(net, tr, PhaseConfig(0.001, 2, 64), ctx, PHASE_REDENSE,
+                   early_enabled=False, frozen_mask=mask)
         for r in ctx.records[n_before:]:
             assert r.sparsity == pytest.approx(mask.zero_fraction())
             assert r.a == 0.0

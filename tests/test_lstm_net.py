@@ -1,18 +1,40 @@
+import json
+
 import numpy as np
 import pytest
 
+from edgenet.cli import main
 from edgenet.errors import CacheMismatch, ConfigError, DimensionMismatch
-from edgenet.lstm_net import (LstmLayerParams, backward, bce_loss, forward,
+from edgenet.lstm_net import (LstmLayerParams, _cell_math, backward, bce_loss,
                               forward_batch, init_params, is_weight_name,
-                              lstm_cell_forward, predict, scores, zeros_params)
+                              scores, zeros_params)
+from edgenet.model_store import save_dense
 
 
-def zero_layer(h=1, d=1, **overrides):
-    fields = dict(w_f=np.zeros((h, h + d)), w_i=np.zeros((h, h + d)),
-                  w_j=np.zeros((h, h + d)), w_o=np.zeros((h, h + d)),
-                  b_f=np.zeros(h), b_i=np.zeros(h), b_j=np.zeros(h), b_o=np.zeros(h))
-    fields.update(overrides)
-    return LstmLayerParams(**fields)
+def zero_layer(h=1, d=1, b=None):
+    return LstmLayerParams(w=np.zeros((4 * h, h + d)),
+                           b=np.zeros(4 * h) if b is None else np.asarray(b, dtype=float))
+
+
+def cell(layer, x_t, h_prev, c_prev, tied=False):
+    """One step on single vectors; returns (h, c, gates) with the gate
+    blocks split out as f, i, j, z plus tanh(c)."""
+    h, c, gates, tanh_c = _cell_math(layer, np.atleast_2d(x_t), np.atleast_2d(h_prev),
+                                     np.atleast_2d(c_prev), tied)
+    f, i, j, z = np.split(gates[0], 4)
+    return h[0], c[0], {"f": f, "i": i, "j": j, "z": z, "tanh_c": tanh_c[0]}
+
+
+def prob(net, sequence, mode="eval", rng=None):
+    """Probability for a single (T, D) sequence."""
+    p, cache = forward_batch(net, np.asarray(sequence)[None, :, :], mode=mode, rng=rng)
+    return float(p[0]), cache
+
+
+def output_h(layer_cache, t):
+    """h_t of a cached layer: the output gate block times tanh(c_t)."""
+    hdim = layer_cache.tanh_c[t].shape[1]
+    return layer_cache.gates[t][:, 3 * hdim:] * layer_cache.tanh_c[t]
 
 
 class TestInit:
@@ -25,14 +47,17 @@ class TestInit:
 
     def test_shapes(self):
         net = init_params((10, 32), seed=0)
-        assert net.layers[0].w_f.shape == (32, 42)
+        assert net.layers[0].w.shape == (128, 42)
+        assert net.layers[0].b.shape == (128,)
+        assert net.tensors()["layer0.w_f"].shape == (32, 42)
+        assert net.tensors()["layer0.b_o"].shape == (32,)
         assert net.head_w.shape == (32,)
         assert net.head_b.shape == ()
 
     def test_empirical_std_near_glorot(self):
         net = init_params((10, 32), seed=1)
         target = np.sqrt(2.0 / (42 + 32))
-        measured = net.layers[0].w_f.std()
+        measured = net.tensors()["layer0.w_f"].std()
         assert abs(measured - target) / target < 0.20
 
     def test_biases_start_zero(self):
@@ -40,10 +65,6 @@ class TestInit:
         for name, arr in net.tensors().items():
             if not is_weight_name(name):
                 assert np.all(arr == 0.0)
-
-    def test_fixed_std_mode(self):
-        net = init_params((10, 32), seed=1, init_scale_mode=0.5)
-        assert abs(net.layers[0].w_f.std() - 0.5) / 0.5 < 0.20
 
     def test_layer_chaining(self):
         net = init_params((7, 5, 3), seed=0)
@@ -53,7 +74,7 @@ class TestInit:
 
 class TestCellForward:
     def test_all_zero_params_and_state(self):
-        h, c, g = lstm_cell_forward(zero_layer(), np.zeros(1), np.zeros(1), np.zeros(1))
+        h, c, g = cell(zero_layer(), np.zeros(1), np.zeros(1), np.zeros(1))
         assert g["f"] == pytest.approx(0.5)
         assert g["i"] == pytest.approx(0.5)
         assert g["z"] == pytest.approx(0.5)
@@ -61,13 +82,13 @@ class TestCellForward:
         assert c == pytest.approx(0.0) and h == pytest.approx(0.0)
 
     def test_memory_passthrough_hand_evaluated(self):
-        h, c, _ = lstm_cell_forward(zero_layer(), np.zeros(1), np.zeros(1), np.ones(1))
+        h, c, _ = cell(zero_layer(), np.zeros(1), np.zeros(1), np.ones(1))
         assert c == pytest.approx(0.5)
         assert h == pytest.approx(0.5 * np.tanh(0.5), abs=1e-6)  # ~0.231059
 
     def test_saturated_forget_gate_preserves_memory(self):
-        layer = zero_layer(b_f=np.array([100.0]))
-        h, c, _ = lstm_cell_forward(layer, np.zeros(1), np.zeros(1), np.array([0.8]))
+        layer = zero_layer(b=[100.0, 0.0, 0.0, 0.0])  # forget-gate bias
+        h, c, _ = cell(layer, np.zeros(1), np.zeros(1), np.array([0.8]))
         assert c == pytest.approx(0.8, abs=1e-10)
 
     def test_gate_ranges_random(self):
@@ -77,7 +98,7 @@ class TestCellForward:
             x = rng.normal(size=6) * 5
             hp = rng.normal(size=9)
             cp = rng.normal(size=9)
-            _, c, g = lstm_cell_forward(net.layers[0], x, hp, cp)
+            _, c, g = cell(net.layers[0], x, hp, cp)
             assert np.all((g["f"] > 0) & (g["f"] < 1))
             assert np.all((g["i"] > 0) & (g["i"] < 1))
             assert np.all((g["z"] > 0) & (g["z"] < 1))
@@ -85,42 +106,66 @@ class TestCellForward:
             assert np.all(np.abs(c) <= np.abs(cp) + 1.0 + 1e-12)
 
     def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):  # 6 rows: not four gate blocks
+            LstmLayerParams(w=np.zeros((6, 5)), b=np.zeros(6))
         with pytest.raises(DimensionMismatch):
-            lstm_cell_forward(zero_layer(h=2, d=3), np.zeros(4), np.zeros(2), np.zeros(2))
+            LstmLayerParams(w=np.zeros((8, 5)), b=np.zeros(2))
+        with pytest.raises(DimensionMismatch):  # H=2 leaves no input columns
+            LstmLayerParams(w=np.zeros((8, 2)), b=np.zeros(8))
+
+    def test_gates_match_the_textbook_cell(self):
+        rng = np.random.default_rng(1)
+        layer = init_params((3, 4), seed=5).layers[0]
+        layer.b[...] = rng.normal(size=16)
+        x, hp, cp = rng.normal(size=3), rng.normal(size=4), rng.normal(size=4)
+        pre = np.concatenate([hp, x]) @ layer.w.T + layer.b
+        f, i, j, o = np.split(pre, 4)
+
+        def logistic(v):
+            return 1.0 / (1.0 + np.exp(-v))
+
+        for tied, z_pre in ((False, o), (True, j)):
+            h, c, g = cell(layer, x, hp, cp, tied=tied)
+            np.testing.assert_allclose(g["f"], logistic(f), rtol=1e-13)
+            np.testing.assert_allclose(g["i"], logistic(i), rtol=1e-13)
+            np.testing.assert_allclose(g["j"], np.tanh(j), rtol=1e-13)
+            np.testing.assert_allclose(g["z"], logistic(z_pre), rtol=1e-13)
+            c_ref = logistic(f) * cp + logistic(i) * np.tanh(j)
+            np.testing.assert_allclose(c, c_ref, rtol=1e-13)
+            np.testing.assert_allclose(h, logistic(z_pre) * np.tanh(c_ref), rtol=1e-13)
 
 
 class TestForward:
     def test_all_zero_net_is_half(self):
         net = zeros_params((3, 4), dropout_rate=0.0)
-        p, _ = forward(net, np.zeros((1, 3)), mode="eval")
-        assert p == pytest.approx(0.5)
+        p, _ = prob(net, np.zeros((1, 3)))
+        assert p == 0.5
 
     def test_train_equals_eval_without_dropout(self):
         net = init_params((3, 4, 4), seed=9, dropout_rate=0.0)
         x = np.random.default_rng(1).random((2, 3))
-        p_eval, _ = forward(net, x, mode="eval")
-        p_train, _ = forward(net, x, mode="train", rng=np.random.default_rng(0))
+        p_eval, _ = prob(net, x, mode="eval")
+        p_train, _ = prob(net, x, mode="train", rng=np.random.default_rng(0))
         assert p_train == pytest.approx(p_eval, abs=0)
 
     def test_eval_mode_bit_identical(self):
         net = init_params((5, 8), seed=11)
         x = np.random.default_rng(2).random((3, 5))
-        p1, _ = forward(net, x, mode="eval")
-        p2, _ = forward(net, x, mode="eval")
+        p1, _ = prob(net, x, mode="eval")
+        p2, _ = prob(net, x, mode="eval")
         assert p1 == p2
 
     def test_inverted_dropout_mean_matches_eval(self):
         # Monte-Carlo oracle: E[mask * h / keep] = h
         net = init_params((4, 6), seed=21, dropout_rate=0.3)
         x = np.random.default_rng(3).random((1, 4))
-        _, cache_eval = forward(net, x, mode="eval")
-        h_eval = (cache_eval.layers[0].z[0] * cache_eval.layers[0].tanh_c[0]).ravel()
+        _, cache_eval = prob(net, x, mode="eval")
+        h_eval = output_h(cache_eval.layers[0], 0).ravel()
 
         reps = 10_000
         xb = np.repeat(x[None, :, :], reps, axis=0)
         _, cache = forward_batch(net, xb, mode="train", rng=np.random.default_rng(77))
-        dropped = (cache.layers[0].z[0] * cache.layers[0].tanh_c[0]
-                   * cache.layers[0].out_scale[0])
+        dropped = output_h(cache.layers[0], 0) * cache.layers[0].out_scale[0]
         mc_mean = dropped.mean(axis=0)
         mc_sem = dropped.std(axis=0) / np.sqrt(reps)
         np.testing.assert_array_less(np.abs(mc_mean - h_eval), 5 * mc_sem + 1e-12)
@@ -128,12 +173,12 @@ class TestForward:
     def test_train_mode_without_rng_rejected(self):
         net = init_params((3, 4), seed=0, dropout_rate=0.1)
         with pytest.raises(ConfigError):
-            forward(net, np.zeros((1, 3)), mode="train")
+            prob(net, np.zeros((1, 3)), mode="train")
 
     def test_wrong_feature_count(self):
         net = init_params((3, 4), seed=0)
         with pytest.raises(DimensionMismatch):
-            forward(net, np.zeros((1, 5)), mode="eval")
+            prob(net, np.zeros((1, 5)), mode="eval")
 
 
 class TestBce:
@@ -184,20 +229,32 @@ class TestBackward:
             backward(other, cache, np.array([1.0]))
 
 
+def predict_label(tmp_path, capsys, net, features, threshold):
+    """Label printed by the `predict` command for a saved float model."""
+    path = str(tmp_path / "m.eidm")
+    save_dense(net, path)
+    argv = ["predict", path, "--features", ",".join(map(repr, features)),
+            "--threshold", repr(threshold)]
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)["label"]
+
+
 class TestPredict:
-    def test_above_threshold(self):
+    def test_above_threshold(self, tmp_path, capsys):
         net = zeros_params((2, 3), dropout_rate=0.0)
         net.head_b[...] = np.log(0.7 / 0.3)  # p = 0.7
-        assert predict(net, np.zeros(2), threshold=0.5) == 1
+        assert predict_label(tmp_path, capsys, net, [0.0, 0.0], 0.5) == 1
 
-    def test_tie_goes_positive(self):
+    def test_tie_goes_positive(self, tmp_path, capsys):
         net = zeros_params((2, 3), dropout_rate=0.0)  # p = 0.5 exactly
-        assert predict(net, np.zeros(2), threshold=0.5) == 1
+        assert scores(net, np.zeros((1, 2)))[0] == 0.5
+        assert predict_label(tmp_path, capsys, net, [0.0, 0.0], 0.5) == 1
 
-    def test_low_threshold(self):
+    def test_low_threshold(self, tmp_path, capsys):
         net = zeros_params((2, 3), dropout_rate=0.0)
         net.head_b[...] = np.log(0.2 / 0.8)  # p = 0.2
-        assert predict(net, np.zeros(2), threshold=0.1) == 1
+        assert predict_label(tmp_path, capsys, net, [0.0, 0.0], 0.1) == 1
+        assert predict_label(tmp_path, capsys, net, [0.0, 0.0], 0.5) == 0
 
     def test_scores_matrix_input(self):
         net = init_params((3, 4), seed=2, dropout_rate=0.0)
@@ -228,8 +285,35 @@ class TestParamsTree:
     def test_tied_gate_uses_candidate_weights(self):
         net = init_params((3, 4), seed=3, dropout_rate=0.0, tied_output_gate=True)
         x = np.random.default_rng(1).random((2, 3))
-        p1, _ = forward(net, x, mode="eval")
-        net.layers[0].w_o[:] = 0.0  # must not matter when tied
-        net.layers[0].b_o[:] = 0.0
-        p2, _ = forward(net, x, mode="eval")
+        p1, _ = prob(net, x, mode="eval")
+        tree = net.tensors()
+        tree["layer0.w_o"][...] = 0.0  # must not matter when tied
+        tree["layer0.b_o"][...] = 0.0
+        p2, _ = prob(net, x, mode="eval")
         assert p1 == p2
+
+    def test_tensors_are_views_into_the_stacked_gates(self):
+        net = init_params((3, 4, 2), seed=4)
+        tree = net.tensors()
+        assert list(tree)[:8] == [f"layer0.{k}_{g}" for k in "wb" for g in "fijo"]
+        assert list(tree)[-2:] == ["head.w", "head.b"]
+        np.testing.assert_array_equal(tree["layer1.w_j"], net.layers[1].w[4:6])
+        tree["layer1.w_j"][...] = 7.0
+        tree["layer0.b_o"][...] = -1.0
+        tree["head.b"][...] = 0.25
+        assert np.all(net.layers[1].w[4:6] == 7.0)
+        assert np.all(net.layers[0].b[12:] == -1.0)
+        assert net.head_b == 0.25
+
+    def test_with_tensors_copies(self):
+        net = init_params((3, 4), seed=1)
+        snap = net.copy()
+        net.tensors()["layer0.w_f"][...] = 0.0
+        assert np.all(snap.tensors()["layer0.w_f"] != 0.0)
+
+    def test_with_tensors_rejects_a_misshapen_gate(self):
+        net = init_params((3, 4), seed=1)
+        tree = net.tensors()
+        tree["layer0.w_i"] = np.zeros((4, 6))
+        with pytest.raises(DimensionMismatch):
+            net.with_tensors(tree)

@@ -1,14 +1,16 @@
+import hashlib
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from edgenet.errors import (BadMagic, CrcMismatch, MaskViolation, StoreError,
                             VersionUnsupported)
+from edgenet.cli import main
 from edgenet.lstm_net import init_params
 from edgenet.model_store import (ENC_BITMAP, ENC_DENSE, DTYPE_F32, DTYPE_I8,
-                                 inspect, load_dense, load_model,
-                                 load_quantized, load_sparse, save_dense,
+                                 inspect, load_model, load_sparse, save_dense,
                                  save_quantized, save_sparse, size_report)
 from edgenet.pruning import apply_masks, compute_masks
 from edgenet.quantizer import quantize_model
@@ -26,12 +28,24 @@ def pruned_net(seed=0, sparsity=0.8, sizes=(3, 4, 4)):
     return net.with_tensors(apply_masks(tree, mask)), mask
 
 
+def float_params(path):
+    loaded = load_model(path)
+    assert loaded.kind == "float" and loaded.mask is None
+    return loaded.params
+
+
+def int8_model(path):
+    loaded = load_model(path)
+    assert loaded.kind == "quantized"
+    return loaded.qmodel
+
+
 class TestDense:
     def test_round_trip_at_float32(self, tmp_path):
         net = small_net(7)
         path = str(tmp_path / "m.eidm")
         save_dense(net, path)
-        back = load_dense(path)
+        back = float_params(path)
         for name, arr in net.tensors().items():
             np.testing.assert_array_equal(back.tensors()[name],
                                           arr.astype(np.float32).astype(np.float64))
@@ -151,7 +165,7 @@ class TestQuantized:
         qm = quantize_model(net)
         path = str(tmp_path / "q.eidm")
         save_quantized(qm, path)
-        back = load_quantized(path)
+        back = int8_model(path)
         for name, qt in qm.weights.items():
             np.testing.assert_array_equal(back.weights[name].values, qt.values)
             assert back.weights[name].params.scale == np.float32(qt.params.scale)
@@ -175,7 +189,7 @@ class TestQuantized:
         qm = quantize_model(net, mask=mask)
         path = str(tmp_path / "pq.eidm")
         save_quantized(qm, path)
-        back = load_quantized(path)
+        back = int8_model(path)
         assert back.mask is not None
         for name, m in mask.masks.items():
             np.testing.assert_array_equal(back.mask.masks[name], m)
@@ -193,9 +207,76 @@ class TestQuantized:
         assert load_model(d).kind == "float"
         assert load_model(q).kind == "quantized"
         with pytest.raises(StoreError):
-            load_quantized(d)
+            load_sparse(d)
         with pytest.raises(StoreError):
-            load_dense(q)
+            load_sparse(q)
+
+
+class TestCompatibility:
+    """The container bytes of a fixed network, pinned across code changes."""
+
+    SHA256 = {
+        "dense": "c2af81826780c96d12545474b7bf4e060e47e592804194b09448594a4ffb51c8",
+        "int8": "483d3ba397ad7e29d2dd2d8436a4af1599c5ccdaccddbfb50f08ef57045689ba",
+        "sparse": "3295e27310729da7813b955a50cd99a9e0a707de1ba52a5ce8359a3efaedc295",
+    }
+
+    def test_container_bytes_are_pinned(self, tmp_path):
+        net = init_params((3, 2, 2), seed=0)
+        paths = {kind: str(tmp_path / f"{kind}.eidm") for kind in self.SHA256}
+        save_dense(net, paths["dense"])
+        save_quantized(quantize_model(net), paths["int8"])
+        weights = {n: a for n, a in net.tensors().items() if n in net.weight_names()}
+        mask = compute_masks(weights, 0.5)
+        save_sparse(net.with_tensors(apply_masks(net.tensors(), mask)), mask, paths["sparse"])
+        for kind, path in paths.items():
+            with open(path, "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == self.SHA256[kind], kind
+
+
+def _patch_after(blob: bytes, marker: bytes, skip: int, new: bytes) -> bytes:
+    """Overwrite len(new) bytes starting ``skip`` bytes after the first
+    occurrence of ``marker``. Headers carry no CRC, so the result loads."""
+    at = blob.index(marker) + len(marker) + skip
+    return blob[:at] + new + blob[at + len(new):]
+
+
+# (saved kind, marker, bytes to skip past it, replacement). Tensor headers are
+# u8 dtype, u8 encoding, u8 rank, u32 dims[rank], then f32 scale for int8.
+MALFORMED = {
+    "dropout_rate_1.5": ("dense", b'"dropout_rate":0.0', -3, b"1.5"),
+    "zero_hidden_size": ("dense", b'"layer_sizes":[3,4,4]', -2, b"0"),
+    "negative_int8_scale": ("int8", b"layer0.w_f", 3 + 4 * 2, struct.pack("<f", -1.0)),
+    "gate_shape_mismatch": ("dense", b"layer0.w_i", 3, struct.pack("<2I", 7, 4)),
+}
+
+
+class TestMalformedContents:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_store_error_and_exit_3(self, tmp_path, case):
+        kind, marker, skip, new = MALFORMED[case]
+        net = small_net(4)
+        path = str(tmp_path / "m.eidm")
+        if kind == "dense":
+            save_dense(net, path)
+        else:
+            save_quantized(quantize_model(net), path)
+        with open(path, "rb") as fh:
+            blob = _patch_after(fh.read(), marker, skip, new)
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        with pytest.raises(StoreError):
+            load_model(path)
+        assert main(["predict", path, "--features", "0.1,0.2,0.3"]) == 3
+
+    def test_missing_tensor_in_int8_container(self, tmp_path):
+        qm = quantize_model(small_net(4))
+        del qm.biases["head.b"]
+        path = str(tmp_path / "q.eidm")
+        save_quantized(qm, path)
+        with pytest.raises(StoreError):
+            load_model(path)
+        assert main(["predict", path, "--features", "0.1,0.2,0.3"]) == 3
 
 
 class TestSizeReport:

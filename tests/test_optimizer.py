@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from edgenet.errors import ConfigError, DimensionMismatch
-from edgenet.optimizer import (RegConfig, SgdmState, l2_term, l2_tree,
-                               sgd_step, sgdm_step)
+from edgenet.optimizer import SgdmState, l2_term, sgdm_step
 
 finite_arrays = arrays(np.float64, st.integers(1, 8),
                        elements=st.floats(-10, 10, allow_nan=False))
@@ -16,29 +15,36 @@ def tree(**kw):
     return {k: np.asarray(v, dtype=np.float64) for k, v in kw.items()}
 
 
+def sgd(theta, grad, eta):
+    """Plain SGD: one momentum step with alpha 0, in place on theta."""
+    sgdm_step(theta, grad, SgdmState.init(theta, alpha=0.0, eta=eta))
+    return theta
+
+
 class TestSgd:
     def test_single_step(self):
-        out = sgd_step(tree(w=[1.0]), tree(w=[0.5]), eta=0.1)
+        out = sgd(tree(w=[1.0]), tree(w=[0.5]), eta=0.1)
         assert out["w"] == pytest.approx([0.95])
 
     def test_zero_gradient_fixed_point(self):
         theta = tree(w=[1.0, -2.0])
-        out = sgd_step(theta, tree(w=[0.0, 0.0]), eta=0.7)
+        out = sgd({"w": theta["w"].copy()}, tree(w=[0.0, 0.0]), eta=0.7)
         np.testing.assert_array_equal(out["w"], theta["w"])
 
     def test_vector_step_to_zero(self):
-        out = sgd_step(tree(w=[1.0, -1.0]), tree(w=[2.0, -2.0]), eta=0.5)
+        out = sgd(tree(w=[1.0, -1.0]), tree(w=[2.0, -2.0]), eta=0.5)
         np.testing.assert_allclose(out["w"], [0.0, 0.0])
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            sgd_step(tree(w=[1.0]), tree(w=[1.0, 2.0]), eta=0.1)
+            sgd(tree(w=[1.0]), tree(w=[1.0, 2.0]), eta=0.1)
 
 
 class TestSgdm:
     def test_first_step_reduces_to_sgd(self):
-        state = SgdmState.init(tree(w=[1.0]), alpha=0.9, eta=0.1)
-        theta, state = sgdm_step(tree(w=[1.0]), tree(w=[0.5]), state)
+        theta = tree(w=[1.0])
+        state = SgdmState.init(theta, alpha=0.9, eta=0.1)
+        sgdm_step(theta, tree(w=[0.5]), state)
         assert theta["w"] == pytest.approx([0.95])
         assert state.delta_prev["w"] == pytest.approx([-0.05])
 
@@ -46,17 +52,18 @@ class TestSgdm:
         theta = tree(w=[1.0])
         grad = tree(w=[0.5])
         state = SgdmState.init(theta, alpha=0.9, eta=0.1)
-        theta, state = sgdm_step(theta, grad, state)
-        theta, state = sgdm_step(theta, grad, state)
+        sgdm_step(theta, grad, state)
+        sgdm_step(theta, grad, state)
         assert theta["w"] == pytest.approx([0.855])
 
     def test_coasting_update_is_geometric(self):
+        theta = tree(w=[1.0])
         state = SgdmState(delta_prev=tree(w=[-0.05]), alpha=0.9, eta=0.1)
-        theta, state = sgdm_step(tree(w=[1.0]), tree(w=[0.0]), state)
+        sgdm_step(theta, tree(w=[0.0]), state)
         assert state.delta_prev["w"] == pytest.approx([-0.045])
         for _ in range(50):
             prev = abs(state.delta_prev["w"][0])
-            theta, state = sgdm_step(theta, tree(w=[0.0]), state)
+            sgdm_step(theta, tree(w=[0.0]), state)
             assert abs(state.delta_prev["w"][0]) == pytest.approx(0.9 * prev)
 
     @settings(max_examples=100, deadline=None)
@@ -64,22 +71,27 @@ class TestSgdm:
     def test_alpha_zero_equals_sgd(self, th, g, eta):
         if th.shape != g.shape:
             g = np.resize(g, th.shape)
-        state = SgdmState.init({"w": th}, alpha=0.0, eta=eta)
-        with_momentum, _ = sgdm_step({"w": th}, {"w": g}, state)
-        plain = sgd_step({"w": th}, {"w": g}, eta)
-        np.testing.assert_array_equal(with_momentum["w"], plain["w"])
+        out = sgd({"w": th.copy()}, {"w": g}, eta)
+        np.testing.assert_array_equal(out["w"], th - eta * g)
 
     def test_permutation_of_entries_is_immaterial(self):
         rng = np.random.default_rng(1)
         th, g = rng.normal(size=6), rng.normal(size=6)
         perm = rng.permutation(6)
-        state = SgdmState.init({"w": th}, alpha=0.5, eta=0.2)
-        direct, _ = sgdm_step({"w": th}, {"w": g}, state)
-        state_p = SgdmState.init({"w": th[perm]}, alpha=0.5, eta=0.2)
-        permuted, _ = sgdm_step({"w": th[perm]}, {"w": g[perm]}, state_p)
+        direct = {"w": th.copy()}
+        sgdm_step(direct, {"w": g}, SgdmState.init(direct, alpha=0.5, eta=0.2))
+        permuted = {"w": th[perm]}
+        sgdm_step(permuted, {"w": g[perm]}, SgdmState.init(permuted, alpha=0.5, eta=0.2))
         inv = np.empty(6, dtype=int)
         inv[perm] = np.arange(6)
         np.testing.assert_array_equal(permuted["w"][inv], direct["w"])
+
+    def test_updates_views_in_place(self):
+        stacked = np.array([[1.0, 2.0], [3.0, 4.0]])
+        theta = {"a": stacked[:1], "b": stacked[1:]}
+        sgdm_step(theta, tree(a=[[1.0, 1.0]], b=[[0.0, 2.0]]),
+                  SgdmState.init(theta, alpha=0.9, eta=0.5))
+        np.testing.assert_array_equal(stacked, [[0.5, 1.5], [3.0, 3.0]])
 
     def test_alpha_range_validated(self):
         with pytest.raises(ConfigError):
@@ -115,18 +127,6 @@ class TestL2:
             fd = (l2_term(wp, mu)[0] - l2_term(wm, mu)[0]) / (2 * eps)
             assert abs(fd - grad[i]) <= 1e-8
 
-    def test_tree_sums_tensors(self):
-        pen, grads = l2_tree({"a": np.array([3.0]), "b": np.array([4.0])}, mu=1.0)
-        assert pen == pytest.approx(25.0)
-        assert set(grads) == {"a", "b"}
-
     def test_negative_mu_rejected(self):
         with pytest.raises(ConfigError):
             l2_term(np.array([1.0]), mu=-0.1)
-
-    def test_reg_config_validation(self):
-        assert RegConfig().mu == 1e-4
-        with pytest.raises(ConfigError):
-            RegConfig(mu=-1.0)
-        with pytest.raises(ConfigError):
-            RegConfig(lambda_reg=-0.5)

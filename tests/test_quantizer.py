@@ -8,8 +8,7 @@ from edgenet.lstm_net import init_params, scores, zeros_params
 from edgenet.pruning import apply_masks, compute_masks
 from edgenet.quantizer import (QuantParams, calibrate, dequantize,
                                dequantized_net, make_quant_params, quantize,
-                               quantize_model, quantized_forward,
-                               quantized_scores)
+                               quantize_model, quantized_scores)
 
 
 class TestCalibrate:
@@ -114,11 +113,11 @@ class TestQuantizeModel:
         back = dequantized_net(qm)
         for arr in back.tensors().values():
             np.testing.assert_array_equal(arr, np.zeros_like(arr))
-        assert quantized_forward(qm, np.zeros((1, 3))) == pytest.approx(0.5)
+        assert quantized_scores(qm, np.zeros((1, 3)))[0] == 0.5
 
     def test_biases_stay_float(self):
         net = init_params((3, 4), seed=0)
-        net.layers[0].b_f[:] = 0.123456789
+        net.tensors()["layer0.b_f"][...] = 0.123456789
         qm = quantize_model(net)
         assert qm.biases["layer0.b_f"].dtype == np.float32
         assert qm.biases["layer0.b_f"][0] == np.float32(0.123456789)
@@ -148,7 +147,7 @@ class TestQuantizeModel:
             net = init_params((4, 5), seed=i, dropout_rate=0.0)
             x = rng.random((1, 4))
             p_float = scores(net, x[None, 0:1, :].reshape(1, 1, 4))[0]
-            p_quant = quantized_forward(quantize_model(net), x)
+            p_quant = quantized_scores(quantize_model(net), x)[0]
             worst = max(worst, abs(p_quant - p_float))
         assert worst <= 0.05
 
