@@ -250,9 +250,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         return cmd_train(cfg, args.data, args.out)
     if args.command == "quantize":
         return cmd_quantize(args.model_in, args.model_out, load_config(args.config))
+    if args.command in ("evaluate", "predict") and not 0.0 <= args.threshold <= 1.0:
+        raise ConfigError(f"threshold must be in [0, 1], got {args.threshold}")
     if args.command == "evaluate":
-        if not 0.0 <= args.threshold <= 1.0:
-            raise ConfigError(f"threshold must be in [0, 1], got {args.threshold}")
         return cmd_evaluate(args.model, args.data, args.threshold, args.out)
     if args.command == "size-report":
         evals = {}

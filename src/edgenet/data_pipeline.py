@@ -2,18 +2,20 @@
 
 Fitting (encoder codes, per-column min/max) happens on the training rows
 only; transform clamps out-of-range values into [0, 1] and fails loudly on
-categorical values the encoder never saw. Rows with missing cells are
-rejected at load time. Data-row numbers in errors are 1-based (the header
-is row 0).
+categorical values the encoder never saw. Rows with missing cells or
+non-finite numbers are rejected at load time. Data-row numbers in errors
+are 1-based (the header is row 0).
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -61,9 +63,6 @@ class FeatureSchema:
     def label_column(self) -> str:
         return next(c.name for c in self.columns if c.kind == KIND_LABEL)
 
-    def kind_of(self, name: str) -> str:
-        return next(c.kind for c in self.columns if c.name == name)
-
     def to_json(self) -> dict:
         return {"columns": [{"name": c.name, "kind": c.kind} for c in self.columns],
                 "selected_features": list(self.selected_features)}
@@ -76,35 +75,50 @@ class FeatureSchema:
 
 @dataclass
 class RawTable:
-    """Typed cells in schema column order; numeric floats, categorical strings,
-    labels already checked to be 0/1."""
+    """One typed array per schema column, in schema order: float64 for numeric
+    columns, str for categorical ones, int64 0/1 for the label."""
 
-    columns: list[str]
-    rows: list[list]
+    arrays: dict[str, np.ndarray]
+
+    @property
+    def columns(self) -> list[str]:
+        return list(self.arrays)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(next(iter(self.arrays.values())))
 
 
-def _parse_cell(raw: str, kind: str, row_no: int, col: str):
-    value = raw.strip()
-    if value == "":
-        raise ParseError(row_no, col, "missing value")
-    if kind == KIND_CATEGORICAL:
-        return value
+def _float_or_nan(text: str) -> float:
     try:
-        num = float(value)
+        return float(text)
     except ValueError:
-        raise ParseError(row_no, col, f"cannot parse {value!r} as a number") from None
-    if kind == KIND_LABEL:
-        if num not in (0.0, 1.0):
-            raise ParseError(row_no, col, f"label must be 0 or 1, got {value!r}")
-        return int(num)
-    return num
+        return math.nan
+
+
+def _parse_column(cells: list[str], col: ColumnSpec) -> np.ndarray:
+    """Typed array for one column; ParseError names its first bad cell."""
+    if col.kind == KIND_CATEGORICAL:
+        values = np.array(list(map(str.strip, cells)), dtype=str)
+        bad = values == ""
+    else:
+        values = np.fromiter(map(_float_or_nan, cells), np.float64, len(cells))
+        bad = (values != 0.0) & (values != 1.0) if col.kind == KIND_LABEL else ~np.isfinite(values)
+    if bad.any():
+        row = int(bad.argmax())
+        value = cells[row].strip()
+        problem = ("missing value" if value == "" else
+                   f"label must be 0 or 1, got {value!r}" if col.kind == KIND_LABEL else
+                   f"{value!r} is not a finite number")
+        raise ParseError(row + 1, col.name, problem)
+    return values.astype(np.int64) if col.kind == KIND_LABEL else values
 
 
 def load_csv(path: str, schema: FeatureSchema) -> RawTable:
-    """Read an RFC-4180 CSV with a header row into typed cells."""
+    """Read an RFC-4180 CSV with a header row into one typed array per column.
+
+    ParseError names the first bad cell in row-major order: each column's
+    first bad row, then the lowest row, ties going to schema order.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -115,19 +129,22 @@ def load_csv(path: str, schema: FeatureSchema) -> RawTable:
         missing = [c.name for c in schema.columns if c.name not in header]
         if missing:
             raise MissingColumn(missing)
-        positions = {c.name: header.index(c.name) for c in schema.columns}
-        rows = []
-        for row_no, record in enumerate(reader, start=1):
-            cells = []
-            for col in schema.columns:
-                pos = positions[col.name]
-                if pos >= len(record):
-                    raise ParseError(row_no, col.name, "missing value")
-                cells.append(_parse_cell(record[pos], col.kind, row_no, col.name))
-            rows.append(cells)
-    if not rows:
+        records = list(reader)
+    if not records:
         raise EmptyFile(f"{path} has a header but no data rows")
-    return RawTable(columns=[c.name for c in schema.columns], rows=rows)
+    width = max(header.index(c.name) for c in schema.columns) + 1
+    # pad short records so every schema column exists; an empty cell is missing
+    records = [r if len(r) >= width else r + [""] * (width - len(r)) for r in records]
+    arrays, errors = {}, []
+    for col in schema.columns:
+        try:
+            cells = list(map(itemgetter(header.index(col.name)), records))
+            arrays[col.name] = _parse_column(cells, col)
+        except ParseError as exc:
+            errors.append(exc)
+    if errors:
+        raise min(errors, key=lambda exc: exc.row)  # min() keeps the first of equal rows
+    return RawTable(arrays=arrays)
 
 
 @dataclass
@@ -137,11 +154,15 @@ class EncodingMap:
 
     codes: dict[str, dict[str, int]] = field(default_factory=dict)
 
-    def encode(self, column: str, value: str) -> int:
-        try:
-            return self.codes[column][value]
-        except KeyError:
-            raise UnknownCategory(value, column) from None
+    def encode(self, column: str, values: np.ndarray) -> np.ndarray:
+        """int64 codes of a str column; UnknownCategory names its first unseen value."""
+        mapping = self.codes.get(column, {})
+        distinct, inverse = np.unique(values, return_inverse=True)
+        lookup = np.array([mapping.get(v, -1) for v in distinct.tolist()], dtype=np.int64)
+        codes = lookup[inverse]
+        if (codes < 0).any():
+            raise UnknownCategory(str(values[int((codes < 0).argmax())]), column)
+        return codes
 
     def to_json(self) -> dict:
         return {col: dict(mapping) for col, mapping in self.codes.items()}
@@ -179,69 +200,54 @@ class DatasetSplit:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    def subset(self, indices: np.ndarray) -> "DatasetSplit":
-        return DatasetSplit(features=self.features[indices],
-                            labels=self.labels[indices],
-                            row_ids=self.row_ids[indices])
+
+def _row_index(table: RawTable, row_indices) -> np.ndarray:
+    return np.arange(len(table)) if row_indices is None else np.asarray(row_indices, np.int64)
 
 
-def _iter_rows(table: RawTable, row_indices) -> list[int]:
-    return list(range(len(table))) if row_indices is None else list(row_indices)
+def _feature_column(table: RawTable, enc: EncodingMap, name: str,
+                    rows: np.ndarray) -> np.ndarray:
+    """float64 values of one feature at the given rows, categorical ones as codes."""
+    values = table.arrays[name][rows]
+    return enc.encode(name, values).astype(np.float64) if values.dtype.kind == "U" else values
 
 
 def fit_label_encoding(table: RawTable, schema: FeatureSchema,
                        row_indices=None) -> EncodingMap:
     """Codes by lexicographic order of each categorical column's distinct values."""
-    rows = _iter_rows(table, row_indices)
+    rows = _row_index(table, row_indices)
     enc = EncodingMap()
     for col in schema.columns:
-        if col.kind != KIND_CATEGORICAL:
-            continue
-        idx = table.columns.index(col.name)
-        distinct = sorted({table.rows[r][idx] for r in rows})
-        enc.codes[col.name] = {v: i for i, v in enumerate(distinct)}
+        if col.kind == KIND_CATEGORICAL:
+            distinct = np.unique(table.arrays[col.name][rows]).tolist()
+            enc.codes[col.name] = {v: i for i, v in enumerate(distinct)}
     return enc
-
-
-def _encoded_value(table: RawTable, schema: FeatureSchema, enc: EncodingMap,
-                   row: int, col: str) -> float:
-    idx = table.columns.index(col)
-    cell = table.rows[row][idx]
-    if schema.kind_of(col) == KIND_CATEGORICAL:
-        return float(enc.encode(col, cell))
-    return float(cell)
 
 
 def fit_minmax(table: RawTable, schema: FeatureSchema, enc: EncodingMap,
                row_indices=None) -> NormStats:
     """Per-column min/max over the given rows (training split only, by contract)."""
-    rows = _iter_rows(table, row_indices)
+    rows = _row_index(table, row_indices)
     stats = NormStats()
-    for col in schema.selected_features:
-        vals = [_encoded_value(table, schema, enc, r, col) for r in rows]
-        stats.stats[col] = (min(vals), max(vals))
+    for name in schema.selected_features:
+        x = _feature_column(table, enc, name, rows)
+        # the first extreme in row order, so -0.0 vs 0.0 is picked like min()/max()
+        stats.stats[name] = (float(x[x.argmin()]), float(x[x.argmax()]))
     return stats
 
 
 def apply_transform(table: RawTable, schema: FeatureSchema, enc: EncodingMap,
                     stats: NormStats, row_indices=None) -> DatasetSplit:
     """x' = (x - min) / (max - min) clamped to [0, 1]; constant columns map to 0."""
-    rows = _iter_rows(table, row_indices)
-    label_idx = table.columns.index(schema.label_column)
-    n = len(rows)
-    feats = np.zeros((n, len(schema.selected_features)))
-    labels = np.zeros(n, dtype=np.int64)
-    for out_i, r in enumerate(rows):
-        for out_j, col in enumerate(schema.selected_features):
-            x = _encoded_value(table, schema, enc, r, col)
-            mn, mx = stats.stats[col]
-            if mx == mn:
-                feats[out_i, out_j] = 0.0
-            else:
-                feats[out_i, out_j] = min(max((x - mn) / (mx - mn), 0.0), 1.0)
-        labels[out_i] = table.rows[r][label_idx]
-    return DatasetSplit(features=feats, labels=labels,
-                        row_ids=np.asarray(rows, dtype=np.int64))
+    rows = _row_index(table, row_indices)
+    feats = np.zeros((len(rows), len(schema.selected_features)))
+    for j, name in enumerate(schema.selected_features):
+        x = _feature_column(table, enc, name, rows)
+        mn, mx = stats.stats[name]
+        if mx != mn:
+            feats[:, j] = np.clip((x - mn) / (mx - mn), 0.0, 1.0)
+    return DatasetSplit(features=feats, labels=table.arrays[schema.label_column][rows],
+                        row_ids=rows)
 
 
 def check_ratios(ratios) -> tuple[float, float, float]:
@@ -262,12 +268,6 @@ def split_indices(n_rows: int, ratios, seed: int):
     n1 = int(n_rows * r1)
     n2 = int(n_rows * r2)
     return perm[:n1], perm[n1:n1 + n2], perm[n1 + n2:]
-
-
-def split(dataset: DatasetSplit, ratios, seed: int):
-    """Partition a dataset into train/validation/test splits."""
-    idx_train, idx_val, idx_test = split_indices(len(dataset), ratios, seed)
-    return dataset.subset(idx_train), dataset.subset(idx_val), dataset.subset(idx_test)
 
 
 # --- binary dataset file + JSON sidecar ---
@@ -298,6 +298,10 @@ def load_dataset(path: str) -> DatasetSplit:
         raise StoreError(f"dataset payload is {len(buf) - off} bytes, expected {need}")
     feats = np.frombuffer(buf, dtype="<f4", count=n * f, offset=off)
     labels = np.frombuffer(buf, dtype=np.uint8, count=n, offset=off + n * f * 4)
+    if not np.isfinite(feats).all():
+        raise StoreError(f"{path} holds non-finite features")
+    if (labels > 1).any():
+        raise StoreError(f"{path} holds a label outside {{0, 1}}")
     return DatasetSplit(features=feats.astype(np.float64).reshape(n, f),
                         labels=labels.astype(np.int64),
                         row_ids=np.arange(n, dtype=np.int64))

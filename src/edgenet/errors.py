@@ -84,6 +84,10 @@ class SingleClassInput(EdgenetError):
     """ROC needs at least one positive and one negative label."""
 
 
+class NonFiniteScore(EdgenetError):
+    """ROC received a NaN or infinite score."""
+
+
 # --- model container ---
 
 class StoreError(EdgenetError):

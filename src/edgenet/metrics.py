@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, LengthMismatch, SingleClassInput
+from .errors import EmptyInput, LengthMismatch, NonFiniteScore, SingleClassInput
 
 
 @dataclass(frozen=True)
@@ -112,25 +112,16 @@ def roc_curve(scores, labels) -> RocCurve:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClassInput("ROC needs both classes present")
+    if not np.isfinite(scores).all():
+        raise NonFiniteScore("ROC needs finite scores")
 
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
-    sorted_labels = labels[order]
-
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    n = scores.size
-    while i < n:
-        j = i
-        while j < n and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        tp += int(sorted_labels[i:j].sum())
-        fp += (j - i) - int(sorted_labels[i:j].sum())
-        points.append((fp / n_neg, tp / n_pos))
-        i = j
-
-    fprs = np.array([p[0] for p in points])
-    tprs = np.array([p[1] for p in points])
-    auc = float(np.trapezoid(tprs, fprs))
-    return RocCurve(points=points, auc=auc)
+    tps = np.cumsum(labels[order])
+    fps = np.arange(1, scores.size + 1) - tps
+    # a run of tied scores is one step: read the counts at each run's last index
+    ends = np.append(np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]), scores.size - 1)
+    fprs = np.concatenate(([0.0], fps[ends] / n_neg))
+    tprs = np.concatenate(([0.0], tps[ends] / n_pos))
+    return RocCurve(points=list(zip(fprs.tolist(), tprs.tolist())),
+                    auc=float(np.trapezoid(tprs, fprs)))

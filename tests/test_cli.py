@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -140,9 +141,44 @@ class TestErrorPaths:
         rc = main(["dump", str(tmp_path / "nope.eidm")])
         assert rc == 3
 
-    def test_bad_threshold(self, tmp_path):
-        rc = main(["evaluate", "m.eidm", "d.eidd", "--threshold", "1.5"])
+    @pytest.mark.parametrize("command", [["evaluate", "m.eidm", "d.eidd"],
+                                         ["predict", "m.eidm", "--features", "0.5"]],
+                             ids=["evaluate", "predict"])
+    @pytest.mark.parametrize("threshold", ["1.5", "-3", "nan"])
+    def test_bad_threshold(self, tmp_path, capsys, command, threshold):
+        # the files do not exist: the check comes before any file is read
+        rc = main(command + ["--threshold", threshold])
         assert rc == 1
+        assert "threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_cell_rejected(self, workdir, capsys, bad):
+        tmp, cfg, csv = workdir
+        lines = open(csv).read().split("\n")
+        cells = lines[3].split(",")
+        cells[2] = bad
+        lines[3] = ",".join(cells)
+        bad_csv = tmp / "bad.csv"
+        bad_csv.write_text("\n".join(lines), encoding="utf-8")
+        rc = main(["preprocess", "--config", cfg, "--csv", str(bad_csv),
+                   "--out", str(tmp / "out")])
+        assert rc == 1
+        assert "row 3, column 'f2'" in capsys.readouterr().err
+        assert not os.path.exists(tmp / "out")
+
+    def test_nan_scores_exit_1(self, tmp_path, capsys, deadline):
+        net = zeros_params((3, 4), dropout_rate=0.0)
+        net.head_b[...] = np.nan
+        model = str(tmp_path / "nan.eidm")
+        save_dense(net, model)
+        ds = DatasetSplit(features=np.full((4, 3), 0.5), labels=np.array([0, 1, 0, 1]),
+                          row_ids=np.arange(4))
+        data = str(tmp_path / "d.eidd")
+        save_dataset(ds, data)
+        deadline(5)
+        rc = main(["evaluate", model, data])
+        assert rc == 1
+        assert "NonFiniteScore" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_features_rejected(self, tmp_path, capsys, bad):
@@ -165,6 +201,44 @@ class TestErrorPaths:
             rc = main(["train", "--config", str(bad_cfg), "--data", data,
                        "--out", str(tmp / "m")])
         assert rc == 4
+
+
+class TestPreprocessCompatibility:
+    """The bytes `preprocess` writes for a fixed CSV, pinned across code changes."""
+
+    SHA256 = {
+        "train.eidd": "99b2a0f5b18f3f0a2865e98a627398d1589fb7563f253862ff0fec0a02e565b3",
+        "val.eidd": "2705e677e265c4211ec044cd1ccca0d70e2901fc0db5dcf8f95599aeb23f3a54",
+        "test.eidd": "b229e72a1e89b57a475beba18648bf3f23a5999ac8c611017d3c3126c9069de9",
+        "sidecar.json": "72e9711a54219c0bfa80c8198f8094ba4982e3a395cdd34f8c1a5d63a6313ab9",
+    }
+
+    def test_output_bytes_are_pinned(self, tmp_path):
+        rng = np.random.default_rng(5)
+        protos = ("tcp", "udp", "icmp", "gre")
+        # an unused id column, padded header names and cells, signed zeros
+        lines = ["id, dur ,proto,delta,sbytes,label"]
+        for i in range(60):
+            lines.append(f"{1000 + i}, {rng.lognormal():.5g} , {protos[rng.integers(4)]},"
+                         f"{rng.normal(0.0, 0.01):.2f},  {int(rng.integers(0, 5000))},"
+                         f"{int(rng.random() < 0.4)}")
+        csv = tmp_path / "flows.csv"
+        csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "seed": 3,
+            "schema": {"columns": [{"name": "dur", "kind": "numeric"},
+                                   {"name": "proto", "kind": "categorical"},
+                                   {"name": "delta", "kind": "numeric"},
+                                   {"name": "sbytes", "kind": "numeric"},
+                                   {"name": "label", "kind": "label"}],
+                       "selected_features": ["proto", "dur", "sbytes", "delta"]},
+            "split": {"ratios": [0.6, 0.2, 0.2]}}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["preprocess", "--config", str(cfg), "--csv", str(csv),
+                     "--out", str(out)]) == 0
+        for name, digest in self.SHA256.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 class TestEvaluateEdgeCases:

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgenet.data_pipeline import (ColumnSpec, DatasetSplit, EncodingMap,
-                                   FeatureSchema, NormStats, apply_transform,
+                                   FeatureSchema, NormStats, RawTable, apply_transform,
                                    fit_label_encoding, fit_minmax, load_csv,
                                    load_dataset, load_sidecar, save_dataset,
-                                   save_sidecar, split, split_indices)
+                                   save_sidecar, split_indices)
 from edgenet.errors import (BadRatios, ConfigError, EmptyFile, MissingColumn,
-                            ParseError, UnknownCategory)
+                            ParseError, StoreError, UnknownCategory)
 
 
 def schema_dur_proto():
@@ -57,7 +57,10 @@ class TestLoadCsv:
         table = load_csv(write(tmp_path, CSV_OK), schema_dur_proto())
         assert len(table) == 3
         assert table.columns == ["dur", "proto", "label"]
-        assert table.rows == [[1.0, "tcp", 0], [2.0, "udp", 1], [6.0, "icmp", 0]]
+        dur, proto, label = (table.arrays[c] for c in table.columns)
+        assert dur.dtype == np.float64 and dur.tolist() == [1.0, 2.0, 6.0]
+        assert proto.dtype.kind == "U" and proto.tolist() == ["tcp", "udp", "icmp"]
+        assert label.dtype == np.int64 and label.tolist() == [0, 1, 0]
 
     def test_missing_schema_column(self, tmp_path):
         path = write(tmp_path, "dur,label\n1.0,0\n")
@@ -70,6 +73,36 @@ class TestLoadCsv:
         with pytest.raises(ParseError) as err:
             load_csv(path, schema_dur_proto())
         assert err.value.row == 2 and err.value.column == "dur"
+
+    @pytest.mark.parametrize("bad, where", [
+        # (row 3, dur) comes first in column order, (row 2, label) in row order
+        ({(3, "dur"): "abc", (2, "label"): "7"}, (2, "label")),
+        # same row: the first column in schema order
+        ({(2, "label"): "x", (2, "proto"): " "}, (2, "proto")),
+    ])
+    def test_parse_error_names_first_bad_cell_in_row_order(self, tmp_path, bad, where):
+        cells = [["1.0", "tcp", "0"] for _ in range(4)]
+        for (row, col), value in bad.items():
+            cells[row - 1][["dur", "proto", "label"].index(col)] = value
+        path = write(tmp_path, "dur,proto,label\n" + "".join(",".join(r) + "\n" for r in cells))
+        with pytest.raises(ParseError) as err:
+            load_csv(path, schema_dur_proto())
+        assert (err.value.row, err.value.column) == where
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_rejected(self, tmp_path, bad):
+        path = write(tmp_path, f"dur,proto,label\n1.0,tcp,0\n {bad} ,udp,1\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(path, schema_dur_proto())
+        assert (err.value.row, err.value.column) == (2, "dur")
+        assert "not a finite number" in str(err.value)
+
+    def test_short_record_is_missing_value(self, tmp_path):
+        path = write(tmp_path, "dur,proto,label\n1.0,tcp,0\n2.0,udp\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(path, schema_dur_proto())
+        assert (err.value.row, err.value.column) == (2, "label")
+        assert "missing value" in str(err.value)
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(EmptyFile):
@@ -115,13 +148,15 @@ class TestEncoding:
     def test_round_trip(self):
         enc = EncodingMap(codes={"proto": {"icmp": 0, "tcp": 1, "udp": 2}})
         back = EncodingMap.from_json(json.loads(json.dumps(enc.to_json())))
-        for code, value in enumerate(("icmp", "tcp", "udp")):
-            assert back.encode("proto", value) == enc.encode("proto", value) == code
+        values = np.array(["udp", "icmp", "tcp", "udp"])
+        assert back.encode("proto", values).tolist() == [2, 0, 1, 2]
+        assert enc.encode("proto", values).tolist() == [2, 0, 1, 2]
 
     def test_unknown_category(self):
         enc = EncodingMap(codes={"proto": {"tcp": 0}})
-        with pytest.raises(UnknownCategory):
-            enc.encode("proto", "sctp")
+        with pytest.raises(UnknownCategory) as err:
+            enc.encode("proto", np.array(["tcp", "sctp", "gre"]))
+        assert (err.value.value, err.value.column) == ("sctp", "proto")
 
 
 class TestMinMax:
@@ -184,10 +219,27 @@ class TestTransform:
     def test_order_preserving(self, tmp_path):
         ds, table = self.run("dur,proto,label\n1,tcp,0\n3,tcp,0\n2,tcp,1\n9,tcp,1\n",
                              tmp_path=tmp_path)
-        raw = np.array([row[table.columns.index("dur")] for row in table.rows])
+        raw = table.arrays["dur"]
+        np.testing.assert_array_equal(raw, [1.0, 3.0, 2.0, 9.0])
         order = np.argsort(raw)
         transformed = ds.features[:, 0]
         assert np.all(np.diff(transformed[order]) >= 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([-0.0, 0.0, 1e-300]),
+                              st.floats(-1e3, 1e3, allow_nan=False)), min_size=2, max_size=40))
+    def test_matches_per_cell_reference(self, values):
+        n, k = len(values), (len(values) + 1) // 2
+        table = RawTable(arrays={"dur": np.array(values), "proto": np.array(["tcp"] * n),
+                                 "label": np.zeros(n, dtype=np.int64)})
+        enc = fit_label_encoding(table, schema_dur_proto(), row_indices=range(k))
+        stats = fit_minmax(table, schema_dur_proto(), enc, row_indices=range(k))
+        ds = apply_transform(table, schema_dur_proto(), enc, stats)
+        mn, mx = min(values[:k]), max(values[:k])
+        expected = [0.0 if mx == mn else min(max((x - mn) / (mx - mn), 0.0), 1.0)
+                    for x in values]
+        assert repr(stats.stats["dur"]) == repr((mn, mx))  # repr tells -0.0 from 0.0
+        assert repr(ds.features[:, 0].tolist()) == repr(expected)
 
     def test_unknown_category_at_transform(self, tmp_path):
         table = load_csv(write(tmp_path, CSV_OK), schema_dur_proto())
@@ -203,16 +255,12 @@ class TestTransform:
 
 
 class TestSplit:
-    def make(self, n):
-        return DatasetSplit(features=np.arange(n, dtype=np.float64)[:, None] / n,
-                            labels=np.arange(n) % 2, row_ids=np.arange(n))
-
     def test_sizes_ten_rows(self):
-        tr, va, te = split(self.make(10), (0.8, 0.1, 0.1), seed=42)
+        tr, va, te = split_indices(10, (0.8, 0.1, 0.1), seed=42)
         assert (len(tr), len(va), len(te)) == (8, 1, 1)
 
     def test_sizes_hundred_rows(self):
-        tr, va, te = split(self.make(100), (0.6, 0.2, 0.2), seed=0)
+        tr, va, te = split_indices(100, (0.6, 0.2, 0.2), seed=0)
         assert (len(tr), len(va), len(te)) == (60, 20, 20)
 
     def test_deterministic(self):
@@ -271,3 +319,18 @@ class TestDatasetFile:
         assert e2.codes == enc.codes
         assert n2.stats == stats.stats
         assert meta == {"seed": 4}
+
+    @pytest.mark.parametrize("patch", ["label", "feature"])
+    def test_bad_contents_rejected(self, tmp_path, patch):
+        ds = DatasetSplit(features=np.full((2, 3), 0.5), labels=np.array([1, 0]),
+                          row_ids=np.arange(2))
+        path = tmp_path / "d.eidd"
+        save_dataset(ds, str(path))
+        blob = bytearray(path.read_bytes())
+        if patch == "label":
+            blob[-1] = 7
+        else:
+            blob[12:16] = struct.pack("<f", float("nan"))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(StoreError):
+            load_dataset(str(path))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edgenet.data_pipeline import DatasetSplit, split
+from edgenet.data_pipeline import DatasetSplit, split_indices
 from edgenet.dsd_trainer import (PHASE_DENSE, PHASE_REDENSE, PHASE_SPARSE,
                                  ArchConfig, EarlyStopPolicy, PhaseConfig,
                                  TrainContext, TrainerConfig, _run_phase,
@@ -16,8 +16,8 @@ from edgenet.synthetic import make_synthetic
 
 def toy_data(n=200, seed=0):
     x, y = make_synthetic(n_rows=n, seed=seed)
-    ds = DatasetSplit(features=x, labels=y, row_ids=np.arange(n))
-    return split(ds, (0.6, 0.2, 0.2), seed=5)
+    return tuple(DatasetSplit(features=x[i], labels=y[i], row_ids=i)
+                 for i in split_indices(n, (0.6, 0.2, 0.2), seed=5))
 
 
 def separable_data(n=200):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgenet.errors import EmptyInput, LengthMismatch, SingleClassInput
+from edgenet.errors import EmptyInput, LengthMismatch, NonFiniteScore, SingleClassInput
 from edgenet.metrics import (METRICS_CSV_HEADER, ConfusionMatrix, confusion,
                              metrics_from_confusion, roc_curve)
 
@@ -103,6 +103,12 @@ class TestRoc:
     def test_three_of_four_pairs(self):
         roc = roc_curve([0.9, 0.8, 0.6, 0.1], [1, 0, 1, 0])
         assert roc.auc == pytest.approx(0.75, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, deadline, bad):
+        deadline(2)
+        with pytest.raises(NonFiniteScore):
+            roc_curve([0.2, bad, 0.7], [0, 1, 1])
 
     def test_random_scores_near_half(self):
         rng = np.random.default_rng(7)
