@@ -19,8 +19,9 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import (BadMagic, BadRatios, ConfigError, EmptyFile, MissingColumn,
-                     ParseError, StoreError, UnknownCategory, VersionUnsupported)
+from .errors import (BadCsv, BadMagic, BadRatios, ConfigError, EmptyFile, EmptySplit,
+                     MissingColumn, ParseError, ScaleOverflow, StoreError,
+                     UnknownCategory, VersionUnsupported)
 
 KIND_NUMERIC = "numeric"
 KIND_CATEGORICAL = "categorical"
@@ -122,14 +123,17 @@ def load_csv(path: str, schema: FeatureSchema) -> RawTable:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
+            missing = [c.name for c in schema.columns if c.name not in header]
+            if missing:
+                raise MissingColumn(missing)
+            records = list(reader)
         except StopIteration:
             raise EmptyFile(f"{path} is empty") from None
-        header = [h.strip() for h in header]
-        missing = [c.name for c in schema.columns if c.name not in header]
-        if missing:
-            raise MissingColumn(missing)
-        records = list(reader)
+        except UnicodeDecodeError as exc:
+            raise BadCsv(f"{path} is not UTF-8 text: {exc.reason}") from None
+        except csv.Error as exc:
+            raise BadCsv(f"{path}, line {reader.line_num}: {exc}") from None
     if not records:
         raise EmptyFile(f"{path} has a header but no data rows")
     width = max(header.index(c.name) for c in schema.columns) + 1
@@ -182,10 +186,6 @@ class NormStats:
     def to_json(self) -> dict:
         return {col: [mn, mx] for col, (mn, mx) in self.stats.items()}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "NormStats":
-        return cls(stats={col: (float(v[0]), float(v[1])) for col, v in obj.items()})
-
 
 @dataclass
 class DatasetSplit:
@@ -228,11 +228,17 @@ def fit_minmax(table: RawTable, schema: FeatureSchema, enc: EncodingMap,
                row_indices=None) -> NormStats:
     """Per-column min/max over the given rows (training split only, by contract)."""
     rows = _row_index(table, row_indices)
+    if len(rows) == 0:
+        raise EmptySplit(f"no training rows to fit on ({len(table)} rows in all)")
     stats = NormStats()
     for name in schema.selected_features:
         x = _feature_column(table, enc, name, rows)
         # the first extreme in row order, so -0.0 vs 0.0 is picked like min()/max()
-        stats.stats[name] = (float(x[x.argmin()]), float(x[x.argmax()]))
+        hi = x.argmax()
+        mn, mx = float(x[x.argmin()]), float(x[hi])
+        if not math.isfinite(mx - mn):
+            raise ScaleOverflow(int(rows[hi]) + 1, name, f"range [{mn!r}, {mx!r}] overflows")
+        stats.stats[name] = (mn, mx)
     return stats
 
 
@@ -245,7 +251,9 @@ def apply_transform(table: RawTable, schema: FeatureSchema, enc: EncodingMap,
         x = _feature_column(table, enc, name, rows)
         mn, mx = stats.stats[name]
         if mx != mn:
-            feats[:, j] = np.clip((x - mn) / (mx - mn), 0.0, 1.0)
+            # far past a tiny range the quotient overflows to inf and clamps to 1
+            with np.errstate(over="ignore"):
+                feats[:, j] = np.clip((x - mn) / (mx - mn), 0.0, 1.0)
     return DatasetSplit(features=feats, labels=table.arrays[schema.label_column][rows],
                         row_ids=rows)
 
@@ -316,10 +324,3 @@ def save_sidecar(path: str, schema: FeatureSchema, enc: EncodingMap,
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
     os.replace(tmp, path)
-
-
-def load_sidecar(path: str) -> tuple[FeatureSchema, EncodingMap, NormStats, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return (FeatureSchema.from_json(doc["schema"]), EncodingMap.from_json(doc["encoding"]),
-            NormStats.from_json(doc["norm_stats"]), doc.get("meta", {}))

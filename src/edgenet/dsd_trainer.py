@@ -1,13 +1,16 @@
 """Three-phase training: dense, sparse with selective weight decay, re-dense.
 
-One epoch loop, ``_run_phase``, serves all three phases and trains the
-network in place through its ``tensors()`` views. Each phase runs momentum
-SGD at its own learning rate (defaults 0.1, 0.01, 0.001) with a shared
-momentum of 0.9 and fresh momentum buffers. The sparse phase recomputes the
-magnitude mask every epoch along a linear sparsity ramp, re-applies the mask
-after every optimizer step, and adds the selective penalty a*TWD on the
-sub-threshold survivor subset. The re-dense phase lifts the mask so pruned
-weights resume training from zero.
+One epoch loop, ``_run_phase``, serves all three phases. Every batch step
+runs in place on the network's 2L+2 stacked arrays (``NetworkParams.rows()``,
+one row per gate tensor); penalties and the clipping norm are reduced row by
+row and added in ``tensors()`` order, which keeps outputs byte-identical to
+a loop over the gate tensors. Each phase runs momentum SGD at its own
+learning rate (defaults 0.1, 0.01, 0.001) with a shared momentum of 0.9 and
+fresh momentum buffers. The sparse phase recomputes the per-gate magnitude
+mask every epoch along a linear sparsity ramp, re-applies it after every
+optimizer step, and adds the selective penalty a*TWD on the sub-threshold
+survivor subset. The re-dense phase lifts the mask so pruned weights resume
+training from zero.
 
 Reported train loss per epoch decomposes as err + wd + a_twd (batch means).
 Validation loss is plain BCE. Early stopping watches validation AUC and
@@ -24,7 +27,7 @@ import numpy as np
 from .data_pipeline import DatasetSplit
 from .errors import ConfigError, NonFiniteLoss, SingleClassInput
 from .lstm_net import (NetworkParams, backward, bce_loss, forward_batch,
-                       init_params)
+                       init_params, is_weight_name, stack_rows)
 from .metrics import roc_curve
 from .optimizer import ParamTree, SgdmState, l2_term, sgdm_step
 from .pruning import (SparsityMask, SparsitySchedule, SwdConfig, apply_masks,
@@ -123,7 +126,6 @@ class EpochRecord:
 @dataclass
 class TrainRun:
     records: list[EpochRecord] = field(default_factory=list)
-    final_params: NetworkParams | None = None
     final_mask: SparsityMask | None = None
     dense_params: NetworkParams | None = None
     sparse_params: NetworkParams | None = None
@@ -139,14 +141,9 @@ class TrainRun:
 
 @dataclass
 class TrainContext:
-    """Shared per-run state: hyperparameters, PRNG streams, validation data,
-    recording."""
+    """Shared per-run state: config, PRNG streams, validation data, records."""
 
-    momentum: float
-    weight_decay_mu: float
-    grad_clip_norm: float | None
-    patience: int
-    seq_len: int
+    cfg: TrainerConfig
     val: DatasetSplit | None
     dropout_rng: np.random.Generator
     shuffle_rng: np.random.Generator
@@ -165,7 +162,7 @@ def to_sequences(features: np.ndarray, seq_len: int) -> np.ndarray:
 
 def _clip_global_norm(grads: ParamTree, clip: float) -> None:
     """Scale the gradients in place so their global L2 norm is at most ``clip``."""
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    total = np.sqrt(sum(v for g in grads.values() for v in np.sum(g * g, axis=1).tolist()))
     if total > clip:
         for g in grads.values():
             g *= clip / total
@@ -174,7 +171,7 @@ def _clip_global_norm(grads: ParamTree, clip: float) -> None:
 def _validate(net: NetworkParams, ctx: TrainContext) -> tuple[float, float]:
     if ctx.val is None or len(ctx.val) == 0:
         return float("nan"), float("nan")
-    x = to_sequences(ctx.val.features, ctx.seq_len)
+    x = to_sequences(ctx.val.features, ctx.cfg.arch.seq_len)
     p, _ = forward_batch(net, x, mode="eval")
     loss = float(np.mean(bce_loss(p, ctx.val.labels.astype(np.float64))))
     try:
@@ -184,21 +181,22 @@ def _validate(net: NetworkParams, ctx: TrainContext) -> tuple[float, float]:
     return loss, auc
 
 
-def _run_phase(net: NetworkParams, data: DatasetSplit, cfg: PhaseConfig,
-               ctx: TrainContext, phase: str, early_enabled: bool,
-               swd: SwdConfig | None = None, sched: SparsitySchedule | None = None,
+def _run_phase(net: NetworkParams, data: DatasetSplit, ctx: TrainContext, phase: str,
                frozen_mask: SparsityMask | None = None) -> SparsityMask | None:
-    """Shared epoch loop; trains ``net`` in place. Returns the sparse phase's
-    final mask, None in the other phases."""
-    theta = net.tensors()
-    state = SgdmState.init(theta, alpha=ctx.momentum, eta=cfg.learning_rate)
-    weight_names = net.weight_names()
-    x_seq = to_sequences(data.features, ctx.seq_len)
+    """Shared epoch loop; trains ``net`` in place with the settings
+    ``ctx.cfg`` gives ``phase``. Returns the sparse phase's final mask, None
+    in the other phases."""
+    cfg, swd, sched = getattr(ctx.cfg, phase), ctx.cfg.swd, ctx.cfg.sparsity_schedule()
+    early_enabled = ctx.cfg.early_stop.enabled(phase)
+    rows = net.rows()
+    weights = [k for k in rows if is_weight_name(k)]
+    state = SgdmState.init(rows, alpha=ctx.cfg.momentum, eta=cfg.learning_rate)
+    x_seq = to_sequences(data.features, ctx.cfg.arch.seq_len)
     y = data.labels.astype(np.float64)
     n = len(y)
 
     best_metric = -np.inf
-    best_theta = None
+    best_rows = None
     best_mask = None
     stall = 0
     cur_mask: SparsityMask | None = None
@@ -207,8 +205,10 @@ def _run_phase(net: NetworkParams, data: DatasetSplit, cfg: PhaseConfig,
         a = 0.0
         if phase == PHASE_SPARSE:
             sparsity = schedule_sparsity(min(e, sched.epochs - 1), sched)
-            cur_mask = compute_masks({k: theta[k] for k in weight_names}, sparsity)
-            apply_masks(theta, cur_mask)
+            tree = net.tensors()
+            cur_mask = compute_masks({k: tree[k] for k in net.weight_names()}, sparsity)
+            keep = SparsityMask(stack_rows(cur_mask.masks), sparsity)
+            apply_masks(rows, keep)
             a = schedule_a(e, swd)
             report_sparsity = sparsity
         elif phase == PHASE_REDENSE:
@@ -223,37 +223,37 @@ def _run_phase(net: NetworkParams, data: DatasetSplit, cfg: PhaseConfig,
             idx = order[start:start + cfg.batch_size]
             p, cache = forward_batch(net, x_seq[idx], mode="train", rng=ctx.dropout_rng)
             err = float(np.mean(bce_loss(p, y[idx])))
-            grads = backward(net, cache, y[idx])
+            grads = backward(net, cache, y[idx]).rows()
 
             wd_pen = 0.0
-            for wn in weight_names:
-                pen, g = l2_term(theta[wn], ctx.weight_decay_mu)
-                wd_pen += pen
-                grads[wn] += g
+            for k in weights:
+                pens, g = l2_term(rows[k], swd.mu)
+                grads[k] += g
+                for pen in pens.tolist():
+                    wd_pen += pen
 
             twd_pen = 0.0
             if phase == PHASE_SPARSE and a > 0.0:
-                for wn in weight_names:
-                    sel, vals = select_swd_subset(theta[wn], cur_mask.masks[wn],
-                                                  a, swd.target_threshold)
-                    twd, gvals = total_weight_decay(vals, swd.mu)
-                    twd_pen += twd
-                    if vals.size:
-                        grads[wn][sel] += a * gvals
+                for k in weights:
+                    sel = select_swd_subset(rows[k], keep.masks[k], a, swd.target_threshold)
+                    twd, gvals = total_weight_decay(rows[k], sel, swd.mu)
+                    grads[k][sel] += a * gvals
+                    for pen in twd.tolist():
+                        twd_pen += pen
 
             loss = err + wd_pen + a * twd_pen
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"{phase} phase diverged at epoch {e} (loss={loss})")
 
-            if ctx.grad_clip_norm is not None:
-                _clip_global_norm(grads, ctx.grad_clip_norm)
-            sgdm_step(theta, grads, state)
+            if ctx.cfg.grad_clip_norm is not None:
+                _clip_global_norm(grads, ctx.cfg.grad_clip_norm)
+            sgdm_step(rows, grads, state)
             if phase == PHASE_SPARSE:
-                apply_masks(theta, cur_mask)
-                for wn in weight_names:
-                    pruned = ~cur_mask.masks[wn].astype(bool)
-                    if np.any(theta[wn][pruned] != 0.0):
-                        ctx.mask_violations += 1
+                apply_masks(rows, keep)
+                for k, m in keep.masks.items():
+                    # one violation per gate tensor (row) with a nonzero pruned entry
+                    stray = (rows[k] != 0.0) & (m == 0)
+                    ctx.mask_violations += int(np.count_nonzero(stray.any(axis=1)))
 
             err_sum += err
             wd_sum += wd_pen
@@ -272,17 +272,17 @@ def _run_phase(net: NetworkParams, data: DatasetSplit, cfg: PhaseConfig,
             metric = val_auc if np.isfinite(val_auc) else -np.inf
             if metric > best_metric:
                 best_metric = metric
-                best_theta = {k: v.copy() for k, v in theta.items()}
+                best_rows = {k: v.copy() for k, v in rows.items()}
                 best_mask = cur_mask
                 stall = 0
             else:
                 stall += 1
-                if stall >= ctx.patience:
+                if stall >= ctx.cfg.early_stop.patience:
                     break
 
-    if early_enabled and best_theta is not None and best_metric > -np.inf:
-        for k, v in best_theta.items():
-            theta[k][...] = v
+    if early_enabled and best_rows is not None and best_metric > -np.inf:
+        for k, v in best_rows.items():
+            rows[k][...] = v
         cur_mask = best_mask
     return cur_mask
 
@@ -304,29 +304,16 @@ def train_dsd(cfg: TrainerConfig, train_split: DatasetSplit, val_split: DatasetS
                       dropout_rate=cfg.arch.dropout_rate,
                       tied_output_gate=cfg.arch.tied_output_gate)
 
-    ctx = TrainContext(momentum=cfg.momentum, weight_decay_mu=cfg.swd.mu,
-                       grad_clip_norm=cfg.grad_clip_norm,
-                       patience=cfg.early_stop.patience, seq_len=cfg.arch.seq_len,
-                       val=val_split, dropout_rng=np.random.default_rng(drop_ss),
+    ctx = TrainContext(cfg=cfg, val=val_split, dropout_rng=np.random.default_rng(drop_ss),
                        shuffle_rng=np.random.default_rng(shuf_ss))
 
     run = TrainRun()
-
-    _run_phase(net, train_split, cfg.dense, ctx, PHASE_DENSE,
-               early_enabled=cfg.early_stop.enabled(PHASE_DENSE))
+    _run_phase(net, train_split, ctx, PHASE_DENSE)
     run.dense_params = net.copy()
-
-    mask = _run_phase(net, train_split, cfg.sparse, ctx, PHASE_SPARSE,
-                      early_enabled=cfg.early_stop.enabled(PHASE_SPARSE),
-                      swd=cfg.swd, sched=cfg.sparsity_schedule())
+    run.final_mask = _run_phase(net, train_split, ctx, PHASE_SPARSE)
     run.sparse_params = net.copy()
-    run.final_mask = mask
-
-    _run_phase(net, train_split, cfg.redense, ctx, PHASE_REDENSE,
-               early_enabled=cfg.early_stop.enabled(PHASE_REDENSE),
-               frozen_mask=mask)
+    _run_phase(net, train_split, ctx, PHASE_REDENSE, frozen_mask=run.final_mask)
 
     run.records = ctx.records
-    run.final_params = net
     run.mask_violations = ctx.mask_violations
     return net, run

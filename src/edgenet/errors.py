@@ -37,6 +37,18 @@ class ParseError(EdgenetError):
         super().__init__(f"row {row}, column '{column}'{detail}")
 
 
+class BadCsv(EdgenetError):
+    """Not CSV text: a byte that is not UTF-8, or a field over the size limit."""
+
+
+class EmptySplit(EdgenetError):
+    """No training rows to fit the encoder and min/max on."""
+
+
+class ScaleOverflow(ParseError):
+    """The training range max - min overflows float64, e.g. for +-1e308."""
+
+
 class UnknownCategory(EdgenetError):
     def __init__(self, value: str, column: str):
         self.value = value

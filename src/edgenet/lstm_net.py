@@ -8,10 +8,12 @@ the output gate reuses the candidate's pre-activation (z = sigmoid of what j
 takes tanh of) and the o block goes unused; the default gives the output
 gate its own rows.
 
-``NetworkParams.tensors()`` names the gate blocks one by one, as
-``layer{i}.w_{gate}`` and ``layer{i}.b_{gate}`` followed by ``head.w`` and
-``head.b``; each entry is a view into the stacked arrays, so writing through
-it updates the network in place. This naming is what containers store.
+``NetworkParams.tensors()`` views each gate block as ``layer{i}.w_{gate}``
+and ``layer{i}.b_{gate}``, then ``head.w``, ``head.b``: the names containers,
+masks and the quantizer store. ``NetworkParams.rows()``, which training runs
+on, views one row per gate tensor in that order (``layer{i}.w`` (4, H*(H+D)),
+``layer{i}.b`` (4, H), ``head.w`` (1, H), ``head.b`` (1, 1)). A row reduced
+on its own gives its gate tensor's result bit for bit.
 
 Dropout is the inverted kind and is applied to each layer's output stream
 (the values fed upward to the next layer or the head), not to the in-layer
@@ -107,6 +109,12 @@ class NetworkParams:
         tree["head.b"] = self.head_b
         return tree
 
+    def rows(self) -> ParamTree:
+        """2-D views, one row per gate tensor in ``tensors()`` order."""
+        tree = {f"layer{idx}.{k}": getattr(layer, k).reshape(4, -1)
+                for idx, layer in enumerate(self.layers) for k in ("w", "b")}
+        return tree | {"head.w": self.head_w.reshape(1, -1), "head.b": self.head_b.reshape(1, 1)}
+
     def with_tensors(self, tree: ParamTree) -> "NetworkParams":
         """New NetworkParams of this shape holding copies of a congruent tree."""
         net = zeros_params(self.layer_sizes, dropout_rate=self.dropout_rate,
@@ -126,9 +134,17 @@ class NetworkParams:
         return [n for n in self.tensors() if is_weight_name(n)]
 
 
-def is_weight_name(name: str) -> bool:
+def is_weight_name(name: str) -> bool:  # layer0.w_f, layer0.w or head.w
     leaf = name.rsplit(".", 1)[-1]
     return leaf.startswith("w")
+
+
+def stack_rows(tree: ParamTree) -> ParamTree:
+    """Per-gate arrays (e.g. masks) in the ``rows()`` layout, rows in tree order."""
+    rows: dict[str, list] = {}
+    for name, arr in tree.items():
+        rows.setdefault(name.split("_")[0], []).append(np.ravel(arr))
+    return {name: np.stack(group) for name, group in rows.items()}
 
 
 def zeros_params(layer_sizes, dropout_rate: float = 0.1,
@@ -271,8 +287,8 @@ def bce_loss(p, y):
     return float(loss) if loss.ndim == 0 else loss
 
 
-def backward(net: NetworkParams, cache: ForwardCache, y) -> ParamTree:
-    """Gradients of the mean BCE loss over the cached batch, for every tensor.
+def backward(net: NetworkParams, cache: ForwardCache, y) -> NetworkParams:
+    """Gradients of the mean BCE loss over the cached batch, as a network.
 
     The cache must come from a train-mode forward on this architecture.
     """
@@ -339,7 +355,7 @@ def backward(net: NetworkParams, cache: ForwardCache, y) -> ParamTree:
             dh_rec = d_concat[:, :hdim]
             d_inputs[t] = d_concat[:, hdim:]
         d_out = d_inputs
-    return grads.tensors()
+    return grads
 
 
 def scores(net: NetworkParams, x: np.ndarray) -> np.ndarray:

@@ -326,13 +326,6 @@ def _mask_from(masks: dict[str, np.ndarray]) -> SparsityMask:
     return SparsityMask(masks=masks, current_sparsity=zeros / total if total else 0.0)
 
 
-def load_sparse(path: str) -> tuple[NetworkParams, SparsityMask]:
-    loaded = load_model(path)
-    if loaded.kind != "float" or loaded.mask is None:
-        raise StoreError(f"{path} is not a sparse float container")
-    return loaded.params, loaded.mask
-
-
 def inspect(path: str) -> list[TensorRecord]:
     """Tensor table without materializing the model (CRC verified per payload)."""
     _, entries = _read_container(path)

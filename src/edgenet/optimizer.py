@@ -1,10 +1,10 @@
 """Parameter updates: SGD with momentum and the L2 weight-decay term.
 
-Functions operate on "parameter trees": ordered dicts mapping tensor names
-to numpy arrays. The momentum step updates the parameter arrays and the
-momentum buffers in place, so a tree of views (``NetworkParams.tensors()``)
-trains its network directly. It stores the previous parameter change and
-applies
+Functions operate on "parameter trees": ordered dicts mapping names to numpy
+arrays. Training passes the network's row view (``NetworkParams.rows()``,
+one row per gate tensor). The momentum step updates the parameter arrays and
+the momentum buffers in place, so a tree of views trains its network
+directly. It stores the previous parameter change and applies
 
     update = -eta * grad + alpha * previous_update
 
@@ -61,13 +61,13 @@ def sgdm_step(theta: ParamTree, grad: ParamTree, state: SgdmState) -> None:
         theta[name] += delta
 
 
-def l2_term(weights: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
-    """L2 penalty mu * sum(w^2) and its gradient 2*mu*w for one tensor.
-
-    The caller decides which tensors participate; biases never should.
-    """
+def l2_term(weights: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """L2 penalty mu * sum(w^2) of each row (a 1-D tensor is one row) and
+    its gradient 2*mu*w. Each row is summed on its own, bit for bit its gate
+    tensor's sum; the caller adds the rows in order and leaves out biases."""
     if mu < 0.0:
         raise ConfigError(f"weight-decay coefficient must be >= 0, got {mu}")
     w = np.asarray(weights, dtype=np.float64)
-    penalty = float(mu * np.sum(w * w))
-    return penalty, 2.0 * mu * w
+    if w.ndim not in (1, 2):
+        raise DimensionMismatch(f"need one tensor (1-D) or rows (2-D), got shape {w.shape}")
+    return mu * np.sum(w * w, axis=-1), 2.0 * mu * w

@@ -1,10 +1,12 @@
 """Magnitude pruning and the selective-weight-decay penalty.
 
-The threshold for a tensor with N entries at sparsity s is the k-th largest
-absolute value, k = ceil(N * (1 - s)), floored at 1 so at least one weight
-always survives. Ties at the threshold are resolved deterministically: the
-lowest flat indices keep their spot, later ties are demoted until exactly k
-survive.
+A tensor with N entries at sparsity s keeps its k = ceil(N * (1 - s))
+largest magnitudes, floored at 1 so at least one weight always survives.
+Among equal magnitudes the lowest flat indices survive; ``compute_mask``
+takes any shape as one tensor. The selective-weight-decay functions take
+rows (2-D: one tensor per row, as ``NetworkParams.rows()``; 1-D: one tensor),
+so flatten a per-gate matrix first. Each row is summed on its own, in flat
+order, which keeps training byte-identical to a loop over the gate tensors.
 """
 
 from __future__ import annotations
@@ -24,9 +26,6 @@ class SparsityMask:
 
     masks: dict[str, np.ndarray] = field(default_factory=dict)
     current_sparsity: float = 0.0
-
-    def survivor_counts(self) -> dict[str, int]:
-        return {name: int(m.sum()) for name, m in self.masks.items()}
 
     def zero_fraction(self) -> float:
         total = sum(m.size for m in self.masks.values())
@@ -75,34 +74,18 @@ def _survivor_count(n: int, sparsity: float) -> int:
     return max(k, 1)
 
 
-def magnitude_threshold(w: np.ndarray, sparsity: float) -> float:
-    """k-th largest |w| with k = ceil(N * (1 - sparsity)); weights below it prune."""
+def compute_mask(w: np.ndarray, sparsity: float) -> np.ndarray:
+    """Keep-mask of the ceil(N * (1 - sparsity)) largest |w|; among equal
+    magnitudes the lowest flat indices survive."""
     w = np.asarray(w)
     if w.size == 0:
-        raise EmptyTensor("cannot threshold an empty tensor")
+        raise EmptyTensor("cannot prune an empty tensor")
     if not 0.0 <= sparsity < 1.0:
         raise ConfigError(f"sparsity must be in [0, 1), got {sparsity}")
     k = _survivor_count(w.size, sparsity)
-    mags = np.sort(np.abs(w), axis=None)[::-1]
-    return float(mags[k - 1])
-
-
-def compute_mask(w: np.ndarray, sparsity: float) -> np.ndarray:
-    """Keep-mask with exactly ceil(N * (1 - sparsity)) survivors.
-
-    Survivors are |w| >= threshold; ties at the threshold keep the lowest
-    flat indices and demote the rest.
-    """
-    w = np.asarray(w)
-    lam = magnitude_threshold(w, sparsity)  # validates inputs
-    k = _survivor_count(w.size, sparsity)
-    flat_mag = np.abs(w).ravel()
-    mask = (flat_mag >= lam)
-    excess = int(mask.sum()) - k
-    if excess > 0:
-        tied = np.flatnonzero(flat_mag == lam)
-        mask[tied[-excess:]] = False
-    return mask.astype(np.uint8).reshape(w.shape)
+    mask = np.zeros(w.size, dtype=np.uint8)
+    mask[np.argsort(-np.abs(w), axis=None, kind="stable")[:k]] = 1
+    return mask.reshape(w.shape)
 
 
 def compute_masks(weights: ParamTree, sparsity: float) -> SparsityMask:
@@ -127,13 +110,17 @@ def apply_masks(tree: ParamTree, sm: SparsityMask) -> ParamTree:
     return tree
 
 
-def select_swd_subset(w: np.ndarray, mask: np.ndarray, a: float,
-                      t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pick the decay target W*: survivors with |w| > a, lower t-quantile.
+def _rows(w: np.ndarray) -> np.ndarray:
+    if w.ndim not in (1, 2):
+        raise DimensionMismatch(f"need one tensor (1-D) or rows (2-D), got shape {w.shape}")
+    return w.reshape(-1, w.shape[-1])
 
-    Returns (selection mask, selected values). Of the m survivors that pass
-    the |w| > a sub-mask, the ceil(t * m) smallest magnitudes are selected
-    (ties broken by flat index), i.e. the weights SWD pushes toward zero.
+
+def select_swd_subset(w: np.ndarray, mask: np.ndarray, a: float,
+                      t: float) -> np.ndarray:
+    """Selection mask of the decay target W* in each row of ``w``: of the m
+    survivors with |w| > a, the ceil(t * m) smallest magnitudes (ties broken
+    by flat index), which SWD pushes to 0.
     """
     if a < 0.0:
         raise ConfigError(f"a must be >= 0, got {a}")
@@ -144,28 +131,26 @@ def select_swd_subset(w: np.ndarray, mask: np.ndarray, a: float,
     if w.shape != mask.shape:
         raise DimensionMismatch(f"weight {w.shape} vs mask {mask.shape}")
 
-    flat_w = w.ravel()
-    candidates = np.flatnonzero(mask.astype(bool).ravel() & (np.abs(flat_w) > a))
-    sel = np.zeros(w.size, dtype=bool)
-    if candidates.size:
-        take = int(np.ceil(t * candidates.size))
-        order = np.lexsort((candidates, np.abs(flat_w[candidates])))
-        sel[candidates[order[:take]]] = True
-    sel = sel.reshape(w.shape)
-    return sel, w[sel]
+    mag = np.abs(_rows(w))
+    candidates = mask.astype(bool).reshape(mag.shape) & (mag > a)
+    sel = np.zeros_like(candidates)
+    for row, cand, out in zip(mag, candidates, sel):
+        idx = np.flatnonzero(cand)
+        out[idx[np.argsort(row[idx], kind="stable")[:int(np.ceil(t * idx.size))]]] = True
+    return sel.reshape(w.shape)
 
 
-def total_weight_decay(w_star: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
-    """TWD = mu * sum(w^2) over the selected subset, with gradient 2*mu*w.
-
-    The caller scales both by the coefficient a before adding them to the
-    loss and gradient.
-    """
+def total_weight_decay(w: np.ndarray, sel: np.ndarray,
+                       mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """TWD = mu * sum(w^2) over each row's selection, and its gradient 2*mu*w
+    at ``w[sel]``. The caller scales both by a and adds the rows in order."""
     if mu < 0.0:
         raise ConfigError(f"mu must be >= 0, got {mu}")
-    vals = np.asarray(w_star, dtype=np.float64)
-    twd = float(mu * np.sum(vals * vals))
-    return twd, 2.0 * mu * vals
+    w = np.asarray(w, dtype=np.float64)
+    sel = np.asarray(sel, dtype=bool)
+    sq = _rows(w * w)
+    sums = np.array([np.sum(q[k]) for q, k in zip(sq, sel.reshape(sq.shape))])
+    return mu * sums.reshape(w.shape[:-1]), 2.0 * mu * w[sel]
 
 
 def schedule_sparsity(epoch: int, sched: SparsitySchedule) -> float:

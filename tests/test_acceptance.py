@@ -17,7 +17,7 @@ from edgenet.data_pipeline import load_dataset
 from edgenet.dsd_trainer import train_dsd
 from edgenet.lstm_net import backward, forward_batch, init_params, scores
 from edgenet.metrics import ConfusionMatrix, metrics_from_confusion, roc_curve
-from edgenet.model_store import DTYPE_I8, inspect, load_model, load_sparse
+from edgenet.model_store import DTYPE_I8, inspect, load_model
 from edgenet.quantizer import (calibrate, dequantize, make_quant_params,
                                quantize, quantized_scores)
 from edgenet.synthetic import config_dict, make_synthetic, write_csv
@@ -92,7 +92,7 @@ def test_c1_gradient_correctness():
         y = rng.integers(0, 2, size=1).astype(np.float64)
         _, cache = forward_batch(net, x, mode="train",
                                  rng=np.random.default_rng(seed))
-        analytic = backward(net, cache, y)
+        analytic = backward(net, cache, y).tensors()
         numeric = finite_difference_gradients(net, x, y, seed, eps=1e-5)
         worst, ok, max_abs = gradient_agreement(analytic, numeric, rel_tol=1e-4)
         assert ok, f"seed {seed}: worst relative error {worst:.3e}"
@@ -153,7 +153,9 @@ def test_c4_end_to_end_training(pipeline):
     assert acc >= 0.95, f"validation accuracy {acc:.4f} < 0.95"
 
     # sparse phase ends with exactly 20% survivors per prunable tensor
-    net_sparse, mask = load_sparse(pipeline["paths"]["pruned"])
+    pruned = load_model(pipeline["paths"]["pruned"])
+    net_sparse, mask = pruned.params, pruned.mask
+    assert pruned.kind == "float" and mask is not None
     for name, m in mask.masks.items():
         n = m.size
         expect = int(np.ceil(0.2 * n))

@@ -166,6 +166,49 @@ class TestErrorPaths:
         assert "row 3, column 'f2'" in capsys.readouterr().err
         assert not os.path.exists(tmp / "out")
 
+    def preprocess_edited(self, workdir, capsys, edit):
+        """Exit code and stderr of preprocess on the workdir CSV's bytes after
+        ``edit``; checks that nothing was written."""
+        tmp, cfg, csv = workdir
+        bad_csv = tmp / "bad.csv"
+        bad_csv.write_bytes(edit(open(csv, "rb").read()))
+        rc = main(["preprocess", "--config", cfg, "--csv", str(bad_csv),
+                   "--out", str(tmp / "out")])
+        assert not os.path.exists(tmp / "out")
+        return rc, capsys.readouterr().err
+
+    def test_one_row_csv_rejected(self, workdir, capsys):
+        rc, err = self.preprocess_edited(
+            workdir, capsys, lambda blob: b"\n".join(blob.split(b"\n")[:2]) + b"\n")
+        assert rc == 1
+        assert "EmptySplit" in err and "1 rows" in err
+
+    def test_non_utf8_byte_rejected(self, workdir, capsys):
+        rc, err = self.preprocess_edited(workdir, capsys,
+                                         lambda blob: blob.replace(b"0.", b"\xff0.", 1))
+        assert rc == 1
+        assert "BadCsv" in err and "UTF-8" in err
+
+    def test_oversized_field_rejected(self, workdir, capsys):
+        long_cell = b"0." + b"1" * 131_072
+        rc, err = self.preprocess_edited(workdir, capsys,
+                                         lambda blob: blob.replace(b"0.", long_cell, 1))
+        assert rc == 1
+        assert "BadCsv" in err and "field limit" in err
+
+    def test_overflowing_column_range_rejected(self, workdir, capsys):
+        def spread_f2(blob):
+            lines = blob.decode("utf-8").split("\n")
+            for i in range(1, len(lines) - 1):
+                cells = lines[i].split(",")
+                cells[2] = "1e308" if i % 2 else "-1e308"
+                lines[i] = ",".join(cells)
+            return "\n".join(lines).encode("utf-8")
+
+        rc, err = self.preprocess_edited(workdir, capsys, spread_f2)
+        assert rc == 1
+        assert "ScaleOverflow" in err and "column 'f2'" in err and "overflows" in err
+
     def test_nan_scores_exit_1(self, tmp_path, capsys, deadline):
         net = zeros_params((3, 4), dropout_rate=0.0)
         net.head_b[...] = np.nan

@@ -1,5 +1,7 @@
 import json
+import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -9,10 +11,10 @@ from hypothesis import strategies as st
 from edgenet.data_pipeline import (ColumnSpec, DatasetSplit, EncodingMap,
                                    FeatureSchema, NormStats, RawTable, apply_transform,
                                    fit_label_encoding, fit_minmax, load_csv,
-                                   load_dataset, load_sidecar, save_dataset,
+                                   load_dataset, save_dataset,
                                    save_sidecar, split_indices)
 from edgenet.errors import (BadRatios, ConfigError, EmptyFile, MissingColumn,
-                            ParseError, StoreError, UnknownCategory)
+                            ParseError, ScaleOverflow, StoreError, UnknownCategory)
 
 
 def schema_dur_proto():
@@ -226,20 +228,46 @@ class TestTransform:
         assert np.all(np.diff(transformed[order]) >= 0.0)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.one_of(st.sampled_from([-0.0, 0.0, 1e-300]),
+    @given(st.lists(st.one_of(st.sampled_from([-0.0, 0.0, 1e-300, -1e308, 1e308]),
                               st.floats(-1e3, 1e3, allow_nan=False)), min_size=2, max_size=40))
     def test_matches_per_cell_reference(self, values):
         n, k = len(values), (len(values) + 1) // 2
         table = RawTable(arrays={"dur": np.array(values), "proto": np.array(["tcp"] * n),
                                  "label": np.zeros(n, dtype=np.int64)})
         enc = fit_label_encoding(table, schema_dur_proto(), row_indices=range(k))
+        mn, mx = min(values[:k]), max(values[:k])
+        if not math.isfinite(mx - mn):  # a training range of -1e308 to 1e308
+            with pytest.raises(ScaleOverflow) as err:
+                fit_minmax(table, schema_dur_proto(), enc, row_indices=range(k))
+            assert (err.value.row, err.value.column) == (values.index(mx) + 1, "dur")
+            return
         stats = fit_minmax(table, schema_dur_proto(), enc, row_indices=range(k))
         ds = apply_transform(table, schema_dur_proto(), enc, stats)
-        mn, mx = min(values[:k]), max(values[:k])
         expected = [0.0 if mx == mn else min(max((x - mn) / (mx - mn), 0.0), 1.0)
                     for x in values]
         assert repr(stats.stats["dur"]) == repr((mn, mx))  # repr tells -0.0 from 0.0
         assert repr(ds.features[:, 0].tolist()) == repr(expected)
+
+    def test_far_value_beyond_subnormal_range_clamps(self):
+        values = [0.0, 5e-324, 1e3, -1e3]
+        table = RawTable(arrays={"dur": np.array(values), "proto": np.array(["tcp"] * 4),
+                                 "label": np.zeros(4, dtype=np.int64)})
+        enc = fit_label_encoding(table, schema_dur_proto())
+        stats = fit_minmax(table, schema_dur_proto(), enc, row_indices=[0, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = apply_transform(table, schema_dur_proto(), enc, stats)
+        assert ds.features[:, 0].tolist() == [0.0, 1.0, 1.0, 0.0]
+
+    def test_overflowing_training_range_rejected(self):
+        values = [3.0, -1e308, 1e308, 1e308]
+        table = RawTable(arrays={"dur": np.array(values), "proto": np.array(["tcp"] * 4),
+                                 "label": np.zeros(4, dtype=np.int64)})
+        enc = fit_label_encoding(table, schema_dur_proto())
+        with pytest.raises(ScaleOverflow) as err:
+            fit_minmax(table, schema_dur_proto(), enc)
+        assert (err.value.row, err.value.column) == (3, "dur")
+        assert "overflows" in str(err.value)
 
     def test_unknown_category_at_transform(self, tmp_path):
         table = load_csv(write(tmp_path, CSV_OK), schema_dur_proto())
@@ -314,11 +342,13 @@ class TestDatasetFile:
         stats = NormStats(stats={"dur": (0.0, 9.5), "proto": (0.0, 1.0)})
         path = str(tmp_path / "sidecar.json")
         save_sidecar(path, schema, enc, stats, meta={"seed": 4})
-        s2, e2, n2, meta = load_sidecar(path)
-        assert s2.to_json() == schema.to_json()
-        assert e2.codes == enc.codes
-        assert n2.stats == stats.stats
-        assert meta == {"seed": 4}
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        assert doc == {"schema": schema.to_json(), "encoding": enc.to_json(),
+                       "norm_stats": {"dur": [0.0, 9.5], "proto": [0.0, 1.0]},
+                       "meta": {"seed": 4}}
+        assert FeatureSchema.from_json(doc["schema"]).to_json() == schema.to_json()
+        assert EncodingMap.from_json(doc["encoding"]).codes == enc.codes
 
     @pytest.mark.parametrize("patch", ["label", "feature"])
     def test_bad_contents_rejected(self, tmp_path, patch):

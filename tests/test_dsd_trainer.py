@@ -7,10 +7,10 @@ from edgenet.dsd_trainer import (PHASE_DENSE, PHASE_REDENSE, PHASE_SPARSE,
                                  TrainContext, TrainerConfig, _run_phase,
                                  to_sequences, train_dsd)
 from edgenet.errors import ConfigError, NonFiniteLoss
-from edgenet.lstm_net import (NetworkParams, backward, forward_batch,
+from edgenet.lstm_net import (NetworkParams, backward, bce_loss, forward_batch,
                               init_params, scores)
 from edgenet.optimizer import SgdmState, l2_term, sgdm_step
-from edgenet.pruning import SparsitySchedule, SwdConfig
+from edgenet.pruning import SparsitySchedule, SwdConfig, compute_masks
 from edgenet.synthetic import make_synthetic
 
 
@@ -29,18 +29,18 @@ def separable_data(n=200):
     return DatasetSplit(features=x, labels=y, row_ids=np.arange(len(y)))
 
 
-def make_ctx(seed, mu=1e-4, clip=5.0):
-    """Context with the trainer's default hyperparameters and two PRNG
-    streams spawned from ``seed``; no validation data."""
+def make_ctx(seed, mu=1e-4, clip=5.0, swd=None, sched=None, **phases):
+    """Context with the trainer's default hyperparameters, the phase configs
+    ``phases`` (e.g. ``dense=PhaseConfig(...)``), the sparsity ramp ``sched``
+    and two PRNG streams spawned from ``seed``; no validation data."""
+    ramp = {}
+    if sched is not None:
+        assert sched.epochs == phases["sparse"].epochs
+        ramp = dict(sparsity_initial=sched.initial, sparsity_final=sched.final)
+    cfg = TrainerConfig(swd=swd or SwdConfig(mu=mu), grad_clip_norm=clip, **ramp, **phases)
     drop_ss, shuf_ss = np.random.SeedSequence(seed).spawn(2)
-    return TrainContext(momentum=0.9, weight_decay_mu=mu, grad_clip_norm=clip, patience=5,
-                        seq_len=1, val=None, dropout_rng=np.random.default_rng(drop_ss),
+    return TrainContext(cfg=cfg, val=None, dropout_rng=np.random.default_rng(drop_ss),
                         shuffle_rng=np.random.default_rng(shuf_ss))
-
-
-def sparse_phase(net, data, cfg, sched, ctx, swd=None):
-    return _run_phase(net, data, cfg, ctx, PHASE_SPARSE, early_enabled=False,
-                      swd=swd or SwdConfig(), sched=sched)
 
 
 def small_cfg(**overrides):
@@ -81,8 +81,8 @@ class TestDensePhase:
         tr, va, te = toy_data()
         net = init_params((10, 8), seed=1, dropout_rate=0.1)
         before = net.copy()
-        _run_phase(net, tr, PhaseConfig(learning_rate=0.0, epochs=2, batch_size=64),
-                   make_ctx(3), PHASE_DENSE, early_enabled=False)
+        ctx = make_ctx(3, dense=PhaseConfig(learning_rate=0.0, epochs=2, batch_size=64))
+        _run_phase(net, tr, ctx, PHASE_DENSE)
         for name, arr in before.tensors().items():
             np.testing.assert_array_equal(net.tensors()[name], arr)
 
@@ -92,15 +92,14 @@ class TestDensePhase:
         start = net.copy()
         cfg = PhaseConfig(learning_rate=0.05, epochs=1, batch_size=10_000)
         mu = 1e-4
-        _run_phase(net, tr, cfg, make_ctx(9, mu=mu, clip=None), PHASE_DENSE,
-                   early_enabled=False)
+        _run_phase(net, tr, make_ctx(9, mu=mu, clip=None, dense=cfg), PHASE_DENSE)
         # identical PRNG streams reproduce the exact batch order and masks
         ctx2 = make_ctx(9)
         order = ctx2.shuffle_rng.permutation(len(tr))
         x_seq = to_sequences(tr.features, 1)[order]
         y = tr.labels.astype(np.float64)[order]
         _, cache = forward_batch(start, x_seq, mode="train", rng=ctx2.dropout_rng)
-        grads = backward(start, cache, y)
+        grads = backward(start, cache, y).tensors()
         theta = start.tensors()
         for name in start.weight_names():
             grads[name] = grads[name] + l2_term(theta[name], mu)[1]
@@ -111,9 +110,8 @@ class TestDensePhase:
     def test_loss_strictly_decreases_on_separable_data(self):
         data = separable_data()
         net = init_params((2, 8, 8), seed=4, dropout_rate=0.0)
-        ctx = make_ctx(1)
-        _run_phase(net, data, PhaseConfig(learning_rate=0.1, epochs=5, batch_size=10_000),
-                   ctx, PHASE_DENSE, early_enabled=False)
+        ctx = make_ctx(1, dense=PhaseConfig(learning_rate=0.1, epochs=5, batch_size=10_000))
+        _run_phase(net, data, ctx, PHASE_DENSE)
         losses = [r.train_loss for r in ctx.records]
         assert len(losses) == 5
         assert all(b < a for a, b in zip(losses, losses[1:]))
@@ -131,8 +129,8 @@ class TestDensePhase:
             return original(self, tree)
 
         monkeypatch.setattr(NetworkParams, "with_tensors", counted)
-        _run_phase(net, tr, PhaseConfig(learning_rate=0.1, epochs=2, batch_size=64),
-                   make_ctx(3), PHASE_DENSE, early_enabled=False)
+        ctx = make_ctx(3, dense=PhaseConfig(learning_rate=0.1, epochs=2, batch_size=64))
+        _run_phase(net, tr, ctx, PHASE_DENSE)
         assert rebuilds == []
         assert net.layers[0].w is stacked and not np.array_equal(stacked, before)
 
@@ -142,8 +140,8 @@ class TestSparsePhase:
         tr, va, _ = toy_data()
         net = init_params((10, 8, 8), seed=5, dropout_rate=0.1)
         sched = SparsitySchedule(initial=0.25, final=0.8, epochs=4)
-        ctx = make_ctx(11)
-        mask = sparse_phase(net, tr, PhaseConfig(0.01, 4, 64), sched, ctx)
+        ctx = make_ctx(11, sched=sched, sparse=PhaseConfig(0.01, 4, 64))
+        mask = _run_phase(net, tr, ctx, PHASE_SPARSE)
         assert ctx.mask_violations == 0
         for name, m in mask.masks.items():
             arr = net.tensors()[name]
@@ -157,8 +155,8 @@ class TestSparsePhase:
         tr, _, _ = toy_data()
         net = init_params((10, 8), seed=6, dropout_rate=0.1)
         sched = SparsitySchedule(initial=0.5, final=0.5, epochs=3)
-        ctx = make_ctx(2)
-        sparse_phase(net, tr, PhaseConfig(0.01, 3, 64), sched, ctx, swd=SwdConfig(mu=0.0))
+        ctx = make_ctx(2, swd=SwdConfig(mu=0.0), sched=sched, sparse=PhaseConfig(0.01, 3, 64))
+        _run_phase(net, tr, ctx, PHASE_SPARSE)
         assert all(r.a_twd == 0.0 for r in ctx.records)
         assert all(r.a > 0.0 for r in ctx.records)  # a still advances
 
@@ -166,11 +164,78 @@ class TestSparsePhase:
         tr, _, _ = toy_data()
         net = init_params((10, 8), seed=6, dropout_rate=0.1)
         sched = SparsitySchedule(initial=0.25, final=0.8, epochs=4)
-        ctx = make_ctx(2)
-        sparse_phase(net, tr, PhaseConfig(0.01, 4, 64), sched, ctx)
+        ctx = make_ctx(2, sched=sched, sparse=PhaseConfig(0.01, 4, 64))
+        _run_phase(net, tr, ctx, PHASE_SPARSE)
         ramps = [r.sparsity for r in ctx.records]
         np.testing.assert_allclose(ramps, [0.25, 0.25 + 0.55 / 3,
                                            0.25 + 2 * 0.55 / 3, 0.8])
+
+
+class TestReductionOrder:
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_sparse_batch_matches_a_per_gate_reference_step(self, seed):
+        """One sparse-phase batch with SWD active, clipping firing and a tied
+        output gate equals, bit for bit, the step taken one gate tensor at a
+        time, with every penalty and norm summed tensor by tensor in
+        ``tensors()`` order."""
+        tr, _, _ = toy_data(n=80)
+        net = init_params((10, 32, 32, 32), seed=seed, dropout_rate=0.1,
+                          tied_output_gate=True)
+        start = net.copy()
+        lr, mu, clip, sparsity = 20.0, 1e-3, 1e-3, 0.5
+        swd = SwdConfig(a0=0.05, mu=mu)
+        ctx = make_ctx(17, clip=clip, swd=swd, sched=SparsitySchedule(sparsity, sparsity, 1),
+                       sparse=PhaseConfig(lr, 1, 10_000))
+        mask = _run_phase(net, tr, ctx, PHASE_SPARSE)
+
+        theta = start.tensors()
+        weights = start.weight_names()
+        keep = compute_masks({n: theta[n] for n in weights}, sparsity).masks
+        for n in weights:
+            theta[n][...] = np.where(keep[n].astype(bool), theta[n], 0.0)
+        ref = make_ctx(17)
+        order = ref.shuffle_rng.permutation(len(tr))
+        y = tr.labels.astype(np.float64)[order]
+        p, cache = forward_batch(start, to_sequences(tr.features, 1)[order], mode="train",
+                                 rng=ref.dropout_rng)
+        err = float(np.mean(bce_loss(p, y)))
+        grads = {k: v.copy() for k, v in backward(start, cache, y).tensors().items()}
+        wd = 0.0
+        for n in weights:
+            wd += float(mu * np.sum(theta[n] * theta[n]))
+            grads[n] += 2.0 * mu * theta[n]
+        a = swd.a0
+        twd = 0.0
+        for n in weights:
+            flat = theta[n].ravel()
+            cand = np.flatnonzero(keep[n].astype(bool).ravel() & (np.abs(flat) > a))
+            take = int(np.ceil(swd.target_threshold * cand.size))
+            sel = np.zeros(flat.size, dtype=bool)
+            sel[cand[np.lexsort((cand, np.abs(flat[cand])))[:take]]] = True
+            sel = sel.reshape(theta[n].shape)
+            vals = theta[n][sel]
+            assert 0 < vals.size < flat.size
+            twd += float(mu * np.sum(vals * vals))
+            grads[n][sel] += a * (2.0 * mu * vals)
+        norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        assert norm > clip
+        for name, g in grads.items():
+            g *= clip / norm
+            delta = np.zeros_like(g)
+            delta *= 0.9
+            delta -= lr * g
+            theta[name] += delta
+        for n in weights:
+            theta[n][...] = np.where(keep[n].astype(bool), theta[n], 0.0)
+
+        (rec,) = ctx.records
+        assert (rec.err, rec.wd, rec.a_twd, rec.a) == (err, wd, a * twd, a)
+        assert rec.train_loss == err + wd + a * twd
+        assert ctx.mask_violations == 0
+        for n in weights:
+            np.testing.assert_array_equal(mask.masks[n], keep[n])
+        for name, arr in start.tensors().items():
+            assert net.tensors()[name].tobytes() == arr.tobytes(), name
 
 
 class TestRedensePhase:
@@ -178,11 +243,11 @@ class TestRedensePhase:
         tr, _, _ = toy_data()
         net = init_params((10, 8), seed=7, dropout_rate=0.1)
         sched = SparsitySchedule(initial=0.6, final=0.6, epochs=2)
-        ctx = make_ctx(3)
-        mask = sparse_phase(net, tr, PhaseConfig(0.01, 2, 64), sched, ctx)
+        ctx = make_ctx(3, sched=sched, sparse=PhaseConfig(0.01, 2, 64),
+                       redense=PhaseConfig(0.001, 2, 64))
+        mask = _run_phase(net, tr, ctx, PHASE_SPARSE)
         sparse_net = net.copy()
-        _run_phase(net, tr, PhaseConfig(0.001, 2, 64), ctx, PHASE_REDENSE,
-                   early_enabled=False, frozen_mask=mask)
+        _run_phase(net, tr, ctx, PHASE_REDENSE, frozen_mask=mask)
         revived = 0
         for name, m in mask.masks.items():
             pruned_before = sparse_net.tensors()[name][~m.astype(bool)]
@@ -195,11 +260,11 @@ class TestRedensePhase:
         tr, _, _ = toy_data()
         net = init_params((10, 8), seed=7, dropout_rate=0.1)
         sched = SparsitySchedule(initial=0.6, final=0.6, epochs=2)
-        ctx = make_ctx(3)
-        mask = sparse_phase(net, tr, PhaseConfig(0.01, 2, 64), sched, ctx)
+        ctx = make_ctx(3, sched=sched, sparse=PhaseConfig(0.01, 2, 64),
+                       redense=PhaseConfig(0.001, 2, 64))
+        mask = _run_phase(net, tr, ctx, PHASE_SPARSE)
         n_before = len(ctx.records)
-        _run_phase(net, tr, PhaseConfig(0.001, 2, 64), ctx, PHASE_REDENSE,
-                   early_enabled=False, frozen_mask=mask)
+        _run_phase(net, tr, ctx, PHASE_REDENSE, frozen_mask=mask)
         for r in ctx.records[n_before:]:
             assert r.sparsity == pytest.approx(mask.zero_fraction())
             assert r.a == 0.0

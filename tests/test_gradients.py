@@ -18,7 +18,7 @@ def check_net(seed: int, layer_sizes, seq_len: int, dropout: float,
     mask_seed = seed + 10_000
     _, cache = forward_batch(net, x, mode="train",
                              rng=np.random.default_rng(mask_seed))
-    analytic = backward(net, cache, y)
+    analytic = backward(net, cache, y).tensors()
     numeric = finite_difference_gradients(net, x, y, mask_seed)
     worst, ok, _ = gradient_agreement(analytic, numeric)
     assert ok, f"worst relative error {worst:.3e} for seed {seed}"
@@ -53,6 +53,6 @@ def test_tied_output_gate_leaves_w_o_gradient_zero():
     net = init_params((3, 4), seed=41, dropout_rate=0.0, tied_output_gate=True)
     x = rng.random((2, 1, 3))
     _, cache = forward_batch(net, x, mode="train")
-    grads = backward(net, cache, np.array([1.0, 0.0]))
+    grads = backward(net, cache, np.array([1.0, 0.0])).tensors()
     np.testing.assert_array_equal(grads["layer0.w_o"], np.zeros_like(grads["layer0.w_o"]))
     np.testing.assert_array_equal(grads["layer0.b_o"], np.zeros_like(grads["layer0.b_o"]))

@@ -5,9 +5,9 @@ import pytest
 
 from edgenet.cli import main
 from edgenet.errors import CacheMismatch, ConfigError, DimensionMismatch
-from edgenet.lstm_net import (LstmLayerParams, _cell_math, backward, bce_loss,
-                              forward_batch, init_params, is_weight_name,
-                              scores, zeros_params)
+from edgenet.lstm_net import (GATES, LstmLayerParams, NetworkParams, _cell_math,
+                              backward, bce_loss, forward_batch, init_params,
+                              is_weight_name, scores, stack_rows, zeros_params)
 from edgenet.model_store import save_dense
 
 
@@ -201,7 +201,7 @@ class TestBackward:
         net = init_params((3, 4, 4), seed=13, dropout_rate=0.0)
         x = np.random.default_rng(4).random((1, 2, 3))
         p, cache = forward_batch(net, x, mode="train")
-        grads = backward(net, cache, np.array([1.0]))
+        grads = backward(net, cache, np.array([1.0])).tensors()
         assert grads["head.b"] == pytest.approx(p[0] - 1.0, abs=1e-12)
 
     def test_zero_head_kills_all_layer_gradients(self):
@@ -209,11 +209,18 @@ class TestBackward:
         net.head_w[:] = 0.0
         x = np.random.default_rng(5).random((1, 1, 3))
         _, cache = forward_batch(net, x, mode="train")
-        grads = backward(net, cache, np.array([0.0]))
+        grads = backward(net, cache, np.array([0.0])).tensors()
         for name, g in grads.items():
             if name.startswith("layer"):
                 np.testing.assert_array_equal(g, np.zeros_like(g))
         assert grads["head.b"] != 0.0
+
+    def test_gradients_are_shaped_like_the_network(self):
+        net = init_params((3, 4, 4), seed=13, dropout_rate=0.0, tied_output_gate=True)
+        _, cache = forward_batch(net, np.ones((2, 1, 3)), mode="train")
+        grads = backward(net, cache, np.array([1.0, 0.0]))
+        assert isinstance(grads, NetworkParams) and grads.tied_output_gate
+        assert grads.layer_sizes == net.layer_sizes
 
     def test_eval_cache_rejected(self):
         net = init_params((3, 4), seed=0, dropout_rate=0.0)
@@ -304,6 +311,34 @@ class TestParamsTree:
         assert np.all(net.layers[1].w[4:6] == 7.0)
         assert np.all(net.layers[0].b[12:] == -1.0)
         assert net.head_b == 0.25
+
+    def test_rows_hold_one_gate_tensor_each_in_tensors_order(self):
+        net = init_params((3, 4, 2), seed=6)
+        rows, tree = net.rows(), net.tensors()
+        assert list(rows) == ["layer0.w", "layer0.b", "layer1.w", "layer1.b",
+                              "head.w", "head.b"]
+        assert [r.shape for r in rows.values()] == [(4, 28), (4, 4), (4, 12), (4, 2),
+                                                    (1, 2), (1, 1)]
+        for k, gate in enumerate(GATES):
+            np.testing.assert_array_equal(rows["layer1.w"][k], tree[f"layer1.w_{gate}"].ravel())
+        assert (np.concatenate([r.ravel() for r in rows.values()]).tobytes()
+                == np.concatenate([t.ravel() for t in tree.values()]).tobytes())
+        assert [is_weight_name(k) for k in rows] == [True, False] * 3
+
+    def test_rows_are_views(self):
+        net = init_params((3, 4), seed=6)
+        rows = net.rows()
+        rows["layer0.w"][1, 0] = 7.0
+        rows["head.b"][0, 0] = 0.25
+        assert net.tensors()["layer0.w_i"][0, 0] == 7.0
+        assert net.head_b == 0.25
+
+    def test_stack_rows_regroups_gate_tensors(self):
+        net = init_params((3, 4, 2), seed=6)
+        stacked = stack_rows(net.tensors())
+        assert list(stacked) == list(net.rows())
+        for name, row in net.rows().items():
+            np.testing.assert_array_equal(stacked[name], row)
 
     def test_with_tensors_copies(self):
         net = init_params((3, 4), seed=1)

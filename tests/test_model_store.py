@@ -10,7 +10,7 @@ from edgenet.errors import (BadMagic, CrcMismatch, MaskViolation, StoreError,
 from edgenet.cli import main
 from edgenet.lstm_net import init_params
 from edgenet.model_store import (ENC_BITMAP, ENC_DENSE, DTYPE_F32, DTYPE_I8,
-                                 inspect, load_model, load_sparse, save_dense,
+                                 inspect, load_model, save_dense,
                                  save_quantized, save_sparse, size_report)
 from edgenet.pruning import apply_masks, compute_masks
 from edgenet.quantizer import quantize_model
@@ -115,7 +115,9 @@ class TestSparse:
         net, mask = pruned_net(5)
         path = str(tmp_path / "s.eidm")
         save_sparse(net, mask, path)
-        back, back_mask = load_sparse(path)
+        loaded = load_model(path)
+        back, back_mask = loaded.params, loaded.mask
+        assert loaded.kind == "float"
         for name, arr in net.tensors().items():
             np.testing.assert_array_equal(back.tensors()[name],
                                           arr.astype(np.float32).astype(np.float64))
@@ -155,7 +157,7 @@ class TestSparse:
         tree[name].ravel()[survivor] = 0.0  # survivor that happens to be zero
         path = str(tmp_path / "z.eidm")
         save_sparse(net.with_tensors(tree), mask, path)
-        _, back_mask = load_sparse(path)
+        back_mask = load_model(path).mask
         assert back_mask.masks[name].ravel()[survivor] == 1
 
 
@@ -204,12 +206,10 @@ class TestQuantized:
         q = str(tmp_path / "q.eidm")
         save_dense(net, d)
         save_quantized(quantize_model(net), q)
-        assert load_model(d).kind == "float"
-        assert load_model(q).kind == "quantized"
-        with pytest.raises(StoreError):
-            load_sparse(d)
-        with pytest.raises(StoreError):
-            load_sparse(q)
+        dense, quantized = load_model(d), load_model(q)
+        assert (dense.kind, dense.mask, dense.qmodel) == ("float", None, None)
+        assert quantized.kind == "quantized" and quantized.params is None
+        assert quantized.mask is None
 
 
 class TestCompatibility:

@@ -130,3 +130,16 @@ class TestL2:
     def test_negative_mu_rejected(self):
         with pytest.raises(ConfigError):
             l2_term(np.array([1.0]), mu=-0.1)
+
+    def test_more_than_two_axes_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            l2_term(np.ones((2, 3, 4)), mu=0.1)
+
+    @pytest.mark.parametrize("shape", [(4, 1), (4, 7), (4, 130), (1, 33), (1, 1), (4, 1057)])
+    def test_one_penalty_per_row_bit_for_bit(self, shape):
+        w = np.random.default_rng(shape[1]).normal(size=shape)
+        pen, grad = l2_term(w, mu=1e-4)
+        assert pen.shape == (shape[0],)
+        for r in range(shape[0]):
+            assert pen[r] == 1e-4 * np.sum(w[r] * w[r])
+        np.testing.assert_array_equal(grad, 2.0 * 1e-4 * w)

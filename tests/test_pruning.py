@@ -4,34 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgenet.errors import ConfigError, DimensionMismatch, EmptyTensor, EpochOutOfRange
+from edgenet.lstm_net import init_params
 from edgenet.pruning import (SparsitySchedule, SwdConfig, apply_mask,
-                             compute_mask, compute_masks, magnitude_threshold,
+                             compute_mask, compute_masks,
                              schedule_a, schedule_sparsity, select_swd_subset,
                              total_weight_decay)
 
 from oracles import lowest_quantile_subset
 
 W_EXAMPLE = np.array([0.5, -0.1, 0.3, -0.7, 0.05])
-
-
-class TestThreshold:
-    def test_sorted_oracle(self):
-        # brute force: third largest magnitude of [0.7, 0.5, 0.3, 0.1, 0.05]
-        assert magnitude_threshold(W_EXAMPLE, 0.4) == pytest.approx(0.3)
-
-    def test_zero_sparsity_keeps_all(self):
-        assert magnitude_threshold(W_EXAMPLE, 0.0) == pytest.approx(0.05)
-
-    def test_all_equal(self):
-        assert magnitude_threshold(np.ones(4), 0.5) == pytest.approx(1.0)
-
-    def test_empty_tensor(self):
-        with pytest.raises(EmptyTensor):
-            magnitude_threshold(np.array([]), 0.5)
-
-    def test_sparsity_range(self):
-        with pytest.raises(ConfigError):
-            magnitude_threshold(W_EXAMPLE, 1.0)
 
 
 class TestMask:
@@ -61,6 +42,18 @@ class TestMask:
         if mask.all() or not mask.any():
             return
         assert np.abs(w[~mask]).max() <= np.abs(w[mask]).min() + 1e-15
+
+    def test_empty_tensor(self):
+        with pytest.raises(EmptyTensor):
+            compute_mask(np.array([]), 0.5)
+
+    def test_sparsity_range(self):
+        with pytest.raises(ConfigError):
+            compute_mask(W_EXAMPLE, 1.0)
+
+    def test_signed_zeros_tie_in_flat_order(self):
+        w = np.array([-0.0, 0.5, 0.0, -0.0])
+        np.testing.assert_array_equal(compute_mask(w, 0.5), [1, 1, 0, 0])
 
     def test_2d_masks_use_flat_order(self):
         w = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -99,17 +92,17 @@ class TestApplyMask:
 class TestSwdSubset:
     def test_quantile_oracle_on_survivors(self):
         w = np.array([0.9, 0.6, 0.3, 0.2])
-        sel, vals = select_swd_subset(w, np.ones(4), a=0.1, t=0.5)
-        np.testing.assert_array_equal(sorted(vals), [0.2, 0.3])
+        sel = select_swd_subset(w, np.ones(4), a=0.1, t=0.5)
+        np.testing.assert_array_equal(sorted(w[sel]), [0.2, 0.3])
 
     def test_large_a_empties_subset(self):
-        sel, vals = select_swd_subset(np.array([0.3, 0.2]), np.ones(2), a=1.0, t=0.5)
-        assert vals.size == 0
+        sel = select_swd_subset(np.array([0.3, 0.2]), np.ones(2), a=1.0, t=0.5)
+        assert not sel.any()
 
     def test_full_quantile_takes_all_survivors(self):
         w = np.array([0.9, -0.6, 0.3, 0.2])
-        sel, vals = select_swd_subset(w, np.ones(4), a=0.0, t=1.0)
-        assert vals.size == 4
+        sel = select_swd_subset(w, np.ones(4), a=0.0, t=1.0)
+        assert sel.all()
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.05, 1.0), st.floats(0.0, 0.5))
@@ -117,7 +110,7 @@ class TestSwdSubset:
         rng = np.random.default_rng(seed)
         w = rng.normal(size=40)
         mask = compute_mask(w, float(rng.uniform(0, 0.8)))
-        sel, vals = select_swd_subset(w, mask, a=a, t=t)
+        sel = select_swd_subset(w, mask, a=a, t=t)
         sel_flat = sel.ravel()
         survivors = mask.astype(bool).ravel()
         # subset of the above-a survivors
@@ -130,34 +123,78 @@ class TestSwdSubset:
         expect = set(cand[lowest_quantile_subset(np.abs(w.ravel()[cand]), t)])
         assert set(np.flatnonzero(sel_flat)) == expect
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.05, 1.0), st.floats(0.0, 0.5))
+    def test_each_row_is_its_own_tensor(self, seed, t, a):
+        rng = np.random.default_rng(seed)
+        w = np.round(rng.normal(size=(4, 30)), 1)  # ties within rows
+        mask = np.stack([compute_mask(r, float(rng.uniform(0, 0.8))) for r in w])
+        sel = select_swd_subset(w, mask, a=a, t=t)
+        for r in range(4):
+            np.testing.assert_array_equal(sel[r], select_swd_subset(w[r], mask[r], a=a, t=t))
+
+    def test_row_view_selects_per_gate_tensor(self):
+        net = init_params((3, 5, 1), seed=4)
+        rows, tree = net.rows(), net.tensors()
+        mask = np.ones(rows["layer0.w"].shape)
+        sel = select_swd_subset(rows["layer0.w"], mask, a=0.05, t=0.3)
+        for g, name in enumerate(["layer0.w_f", "layer0.w_i", "layer0.w_j", "layer0.w_o"]):
+            gate = tree[name]  # (H, H+D): flattened, it is one tensor
+            flat = select_swd_subset(gate.ravel(), np.ones(gate.size), a=0.05, t=0.3)
+            np.testing.assert_array_equal(sel[g], flat)
+            assert gate.ndim == 2 and not np.array_equal(
+                select_swd_subset(gate, np.ones(gate.shape), a=0.05, t=0.3).ravel(), flat)
+
+    def test_more_than_two_axes_rejected(self):
+        w = np.ones((2, 3, 4))
+        with pytest.raises(DimensionMismatch):
+            select_swd_subset(w, np.ones(w.shape), a=0.0, t=0.5)
+        with pytest.raises(DimensionMismatch):
+            total_weight_decay(w, np.ones(w.shape, dtype=bool), mu=0.1)
+
 
 class TestTotalWeightDecay:
     def test_hand_worked(self):
-        twd, grad = total_weight_decay(np.array([0.2, -0.1]), mu=0.01)
+        w = np.array([0.2, 0.9, -0.1])
+        twd, grad = total_weight_decay(w, np.array([True, False, True]), mu=0.01)
         assert twd == pytest.approx(5e-4)
         np.testing.assert_allclose(grad, [0.004, -0.002])
 
     def test_empty_subset(self):
-        twd, grad = total_weight_decay(np.array([]), mu=0.01)
+        twd, grad = total_weight_decay(np.array([0.3, -0.4]), np.zeros(2, dtype=bool), mu=0.01)
         assert twd == 0.0 and grad.size == 0
 
     def test_mu_zero(self):
-        twd, grad = total_weight_decay(np.array([0.5]), mu=0.0)
+        twd, grad = total_weight_decay(np.array([0.5]), np.array([True]), mu=0.0)
         assert twd == 0.0
         np.testing.assert_array_equal(grad, [0.0])
 
     def test_scaled_gradient_matches_finite_difference(self):
         rng = np.random.default_rng(9)
         vals = rng.normal(size=8)
+        sel = np.ones(8, dtype=bool)
         mu, a = 0.013, 0.7
-        _, grad = total_weight_decay(vals, mu)
+        _, grad = total_weight_decay(vals, sel, mu)
         eps = 1e-6
         for i in range(vals.size):
             vp, vm = vals.copy(), vals.copy()
             vp[i] += eps
             vm[i] -= eps
-            fd = a * (total_weight_decay(vp, mu)[0] - total_weight_decay(vm, mu)[0]) / (2 * eps)
+            fd = a * (total_weight_decay(vp, sel, mu)[0]
+                      - total_weight_decay(vm, sel, mu)[0]) / (2 * eps)
             assert abs(fd - a * grad[i]) <= 1e-8
+
+    def test_rows_sum_their_own_selection_in_flat_order(self):
+        rng = np.random.default_rng(3)
+        w = rng.normal(size=(4, 257))
+        sel = rng.random((4, 257)) < 0.4
+        sel[2] = False
+        twd, grad = total_weight_decay(w, sel, mu=0.3)
+        assert twd.shape == (4,)
+        for r in range(4):
+            vals = w[r][sel[r]]
+            assert twd[r] == 0.3 * np.sum(vals * vals)  # bit for bit
+        np.testing.assert_array_equal(grad, 2.0 * 0.3 * w[sel])
 
 
 class TestSchedules:
