@@ -9,6 +9,7 @@ All commands are deterministic given (config, inputs). Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -19,8 +20,8 @@ from . import data_pipeline as dp
 from . import model_store as store
 from .config import RunConfig, load_config
 from .dsd_trainer import to_sequences, train_dsd
-from .errors import (EdgenetError, NonFiniteLoss, SingleClassInput, StoreError,
-                     ConfigError)
+from .errors import (ConfigError, EdgenetError, EmptySplit, NonFiniteLoss,
+                     SingleClassInput, StoreError)
 from .lstm_net import scores as float_scores
 from .metrics import METRICS_CSV_HEADER, confusion, metrics_from_confusion, roc_curve
 from .quantizer import quantize_model, quantized_scores
@@ -44,13 +45,17 @@ def cmd_preprocess(cfg: RunConfig, csv_in: str, out_dir: str) -> int:
     if cfg.schema is None:
         raise ConfigError("preprocess needs a config with a 'schema' section")
     table = dp.load_csv(csv_in, cfg.schema)
-    idx_train, idx_val, idx_test = dp.split_indices(len(table), cfg.ratios, cfg.seed)
-    enc = dp.fit_label_encoding(table, cfg.schema, row_indices=idx_train)
-    stats = dp.fit_minmax(table, cfg.schema, enc, row_indices=idx_train)
+    splits = dict(zip(SPLIT_FILES, dp.split_indices(len(table), cfg.ratios, cfg.seed)))
+    for name, indices in splits.items():
+        if len(indices) == 0:
+            raise EmptySplit(f"the {name} split has no rows ({len(table)} rows in all, "
+                             f"ratios {list(cfg.ratios)})")
+    enc = dp.fit_label_encoding(table, cfg.schema, row_indices=splits["train"])
+    stats = dp.fit_minmax(table, cfg.schema, enc, row_indices=splits["train"])
 
     os.makedirs(out_dir, exist_ok=True)
     counts = {}
-    for name, indices in (("train", idx_train), ("val", idx_val), ("test", idx_test)):
+    for name, indices in splits.items():
         split = dp.apply_transform(table, cfg.schema, enc, stats, row_indices=indices)
         dp.save_dataset(split, os.path.join(out_dir, SPLIT_FILES[name]))
         counts[name] = len(split)
@@ -75,7 +80,7 @@ def cmd_train(cfg: RunConfig, data_dir: str, out_dir: str) -> int:
 
     last = run.records[-1]
     print(f"trained {len(run.records)} epochs; final val_auc={last.val_auc:.6f} "
-          f"sparsity={run.final_mask.current_sparsity:.2f} "
+          f"sparsity={run.final_mask.zero_fraction():.2f} "
           f"mask_violations={run.mask_violations}")
     return EXIT_OK
 
@@ -177,20 +182,20 @@ def cmd_predict(model_path: str, features_arg: str, threshold: float) -> int:
 
 def cmd_dump(path: str) -> int:
     records = store.inspect(path)
-    dtype_names = {store.DTYPE_F32: "float32", store.DTYPE_I8: "int8"}
-    enc_names = {store.ENC_DENSE: "dense", store.ENC_BITMAP: "bitmap-sparse"}
     print(f"{'name':28} {'dtype':8} {'encoding':14} {'shape':14} {'payload':>9} crc")
     for r in records:
         extra = ""
         if r.dtype == store.DTYPE_I8:
             extra = f"  scale={r.scale!r} zero_point={r.zero_point}"
-        print(f"{r.name:28} {dtype_names[r.dtype]:8} {enc_names[r.encoding]:14} "
+        print(f"{r.name:28} {store.DTYPE_NAMES[r.dtype]:8} {store.ENCODING_NAMES[r.encoding]:14} "
               f"{str(list(r.shape)):14} {r.payload_len:>9} "
               f"{'ok' if r.crc_ok else 'BAD'}{extra}")
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     ap = argparse.ArgumentParser(prog="edgenet",
                                  description="train, compress and evaluate the "
                                              "intrusion-detection LSTM")

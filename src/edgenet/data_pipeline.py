@@ -19,7 +19,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import (BadCsv, BadMagic, BadRatios, ConfigError, EmptyFile, EmptySplit,
+from .errors import (BadCsv, BadMagic, BadRatios, ConfigError, EmptyFile,
                      MissingColumn, ParseError, ScaleOverflow, StoreError,
                      UnknownCategory, VersionUnsupported)
 
@@ -70,8 +70,17 @@ class FeatureSchema:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FeatureSchema":
-        cols = [ColumnSpec(name=c["name"], kind=c["kind"]) for c in obj["columns"]]
-        return cls(columns=cols, selected_features=list(obj["selected_features"]))
+        """Schema from its JSON form; a missing key or a wrong type is a ConfigError."""
+        obj = obj if isinstance(obj, dict) else {}
+        cols, selected = obj.get("columns"), obj.get("selected_features")
+        if not isinstance(cols, list) or not all(isinstance(c, dict) and isinstance(
+                c.get("name"), str) and isinstance(c.get("kind"), str) for c in cols):
+            raise ConfigError("schema.columns must be a list of {name, kind} string objects")
+        if not (isinstance(selected, list) and selected
+                and all(isinstance(f, str) for f in selected)):
+            raise ConfigError("schema.selected_features must be a non-empty list of strings")
+        return cls(columns=[ColumnSpec(name=c["name"], kind=c["kind"]) for c in cols],
+                   selected_features=selected)
 
 
 @dataclass
@@ -226,10 +235,9 @@ def fit_label_encoding(table: RawTable, schema: FeatureSchema,
 
 def fit_minmax(table: RawTable, schema: FeatureSchema, enc: EncodingMap,
                row_indices=None) -> NormStats:
-    """Per-column min/max over the given rows (training split only, by contract)."""
+    """Per-column min/max over the given (non-empty) rows: the training split
+    only, by contract."""
     rows = _row_index(table, row_indices)
-    if len(rows) == 0:
-        raise EmptySplit(f"no training rows to fit on ({len(table)} rows in all)")
     stats = NormStats()
     for name in schema.selected_features:
         x = _feature_column(table, enc, name, rows)
@@ -297,10 +305,12 @@ def load_dataset(path: str) -> DatasetSplit:
         buf = fh.read()
     if buf[:4] != DATASET_MAGIC:
         raise BadMagic(f"{path} is not a dataset file")
+    off = 4 + struct.calcsize("<HIH")
+    if len(buf) < off:
+        raise StoreError(f"{path} is {len(buf)} bytes, shorter than its {off}-byte header")
     version, n, f = struct.unpack_from("<HIH", buf, 4)
     if version != DATASET_VERSION:
         raise VersionUnsupported(f"dataset version {version}, expected {DATASET_VERSION}")
-    off = 4 + struct.calcsize("<HIH")
     need = n * f * 4 + n
     if len(buf) - off != need:
         raise StoreError(f"dataset payload is {len(buf) - off} bytes, expected {need}")

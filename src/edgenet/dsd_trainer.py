@@ -207,7 +207,7 @@ def _run_phase(net: NetworkParams, data: DatasetSplit, ctx: TrainContext, phase:
             sparsity = schedule_sparsity(min(e, sched.epochs - 1), sched)
             tree = net.tensors()
             cur_mask = compute_masks({k: tree[k] for k in net.weight_names()}, sparsity)
-            keep = SparsityMask(stack_rows(cur_mask.masks), sparsity)
+            keep = SparsityMask(stack_rows(cur_mask.masks))
             apply_masks(rows, keep)
             a = schedule_a(e, swd)
             report_sparsity = sparsity

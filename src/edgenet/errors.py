@@ -42,7 +42,7 @@ class BadCsv(EdgenetError):
 
 
 class EmptySplit(EdgenetError):
-    """No training rows to fit the encoder and min/max on."""
+    """A train, validation or test split with no rows."""
 
 
 class ScaleOverflow(ParseError):

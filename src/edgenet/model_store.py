@@ -16,15 +16,20 @@ Bitmap-sparse payloads hold ceil(N/8) bitmap bytes (flat C order, LSB-first
 within each byte, bit 1 = value present) followed by the present values
 packed in index order. Files are written to a temp path and renamed, so
 readers never see partial files.
+
+Writers and readers share one ``TensorRecord`` per tensor. Only payloads
+carry a CRC: a header that does not parse raises StoreError, but one that
+parses to other valid values loads as a different model.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,20 +45,49 @@ DTYPE_F32 = 0
 DTYPE_I8 = 1
 ENC_DENSE = 0
 ENC_BITMAP = 1
+DTYPE_NAMES = {DTYPE_F32: "float32", DTYPE_I8: "int8"}
+ENCODING_NAMES = {ENC_DENSE: "dense", ENC_BITMAP: "bitmap-sparse"}
+_NP_DTYPES = {DTYPE_F32: "<f4", DTYPE_I8: "i1"}
 
 
 @dataclass(frozen=True)
 class TensorRecord:
-    """Per-tensor metadata as stored in the container (for `dump`/tests)."""
+    """One stored tensor: its header fields and its raw payload."""
 
     name: str
     dtype: int
     encoding: int
     shape: tuple[int, ...]
-    payload_len: int
-    crc_ok: bool
+    payload: bytes = field(repr=False)
+    crc_ok: bool = True
     scale: float | None = None
     zero_point: int | None = None
+
+    @property
+    def payload_len(self) -> int:
+        return len(self.payload)
+
+    def decode(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(values, keep): the tensor in ``shape``, and for a bitmap-sparse
+        payload its bool keep-mask (None when dense). Absent entries read 0.0,
+        or the zero point for int8 so that they dequantize to exactly 0."""
+        np_dtype = np.dtype(_NP_DTYPES[self.dtype])
+        n = math.prod(self.shape)
+        if self.encoding == ENC_DENSE:
+            if len(self.payload) != n * np_dtype.itemsize:
+                raise StoreError(f"dense payload length {len(self.payload)} != "
+                                 f"{n * np_dtype.itemsize}")
+            return np.frombuffer(self.payload, np_dtype).reshape(self.shape).copy(), None
+        bitmap_len = (n + 7) // 8
+        bits = np.frombuffer(self.payload, np.uint8, count=bitmap_len)
+        keep = np.unpackbits(bits, count=n, bitorder="little").astype(bool)
+        packed = np.frombuffer(self.payload, np_dtype, offset=bitmap_len)
+        if packed.size != int(keep.sum()):
+            raise StoreError(f"sparse payload holds {packed.size} values, "
+                             f"bitmap says {keep.sum()}")
+        values = np.full(n, self.zero_point if self.dtype == DTYPE_I8 else 0.0, np_dtype)
+        values[keep] = packed
+        return values.reshape(self.shape), keep.reshape(self.shape)
 
 
 @dataclass
@@ -85,79 +119,42 @@ class SizeReport:
         return "\n".join(lines) + "\n"
 
 
-def _pack_bitmap(mask_flat: np.ndarray) -> bytes:
-    return np.packbits(mask_flat.astype(np.uint8), bitorder="little").tobytes()
-
-
-def _unpack_bitmap(buf: bytes, n: int) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), count=n, bitorder="little")
-    return bits.astype(bool)
-
-
 def _encode_payload(arr: np.ndarray, dtype: int, keep: np.ndarray | None) -> bytes:
-    np_dtype = "<f4" if dtype == DTYPE_F32 else "i1"
     flat = np.ascontiguousarray(arr).ravel()
     if keep is None:
-        return flat.astype(np_dtype).tobytes()
+        return flat.astype(_NP_DTYPES[dtype]).tobytes()
     keep = keep.ravel().astype(bool)
-    return _pack_bitmap(keep) + flat[keep].astype(np_dtype).tobytes()
+    return (np.packbits(keep, bitorder="little").tobytes()
+            + flat[keep].astype(_NP_DTYPES[dtype]).tobytes())
 
 
-def _decode_payload(payload: bytes, dtype: int, encoding: int,
-                    shape: tuple[int, ...], zero_q: int = 0):
-    np_dtype = np.dtype("<f4") if dtype == DTYPE_F32 else np.dtype("i1")
-    n = int(np.prod(shape)) if shape else 1
-    if encoding == ENC_DENSE:
-        if len(payload) != n * np_dtype.itemsize:
-            raise StoreError(f"dense payload length {len(payload)} != {n * np_dtype.itemsize}")
-        values = np.frombuffer(payload, dtype=np_dtype, count=n).reshape(shape)
-        return values, None
-    bitmap_len = (n + 7) // 8
-    keep = _unpack_bitmap(payload[:bitmap_len], n)
-    packed = np.frombuffer(payload[bitmap_len:], dtype=np_dtype)
-    if packed.size != int(keep.sum()):
-        raise StoreError(f"sparse payload holds {packed.size} values, bitmap says {keep.sum()}")
-    fill = 0.0 if dtype == DTYPE_F32 else zero_q
-    values = np.full(n, fill, dtype=np_dtype)
-    values[keep] = packed
-    return values.reshape(shape), keep.reshape(shape)
+def _record(name: str, arr: np.ndarray, dtype: int = DTYPE_F32,
+            keep: np.ndarray | None = None, scale: float | None = None,
+            zero_point: int | None = None) -> TensorRecord:
+    return TensorRecord(name=name, dtype=dtype,
+                        encoding=ENC_DENSE if keep is None else ENC_BITMAP,
+                        shape=arr.shape, payload=_encode_payload(arr, dtype, keep),
+                        scale=scale, zero_point=zero_point)
 
 
-@dataclass
-class _TensorSpec:
-    name: str
-    dtype: int
-    encoding: int
-    arr: np.ndarray
-    keep: np.ndarray | None = None
-    scale: float | None = None
-    zero_point: int | None = None
-
-
-def _write_container(path: str, arch: dict, tensors: list[_TensorSpec]) -> None:
-    names = [t.name for t in tensors]
+def _write_container(path: str, arch: dict, records: list[TensorRecord]) -> None:
+    names = [r.name for r in records]
     if len(set(names)) != len(names):
         raise StoreError("tensor names must be unique")
     arch_json = json.dumps(arch, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    parts = [MAGIC, struct.pack("<HH", VERSION, len(tensors)),
-             struct.pack("<I", len(arch_json)), arch_json]
-    for t in tensors:
-        name_b = t.name.encode("utf-8")
-        dims = t.arr.shape
-        parts.append(struct.pack("<H", len(name_b)))
-        parts.append(name_b)
-        parts.append(struct.pack("<BBB", t.dtype, t.encoding, len(dims)))
-        parts.append(struct.pack(f"<{len(dims)}I", *dims) if dims else b"")
-        if t.dtype == DTYPE_I8:
-            parts.append(struct.pack("<fi", t.scale, t.zero_point))
-        payload = _encode_payload(t.arr, t.dtype, t.keep)
-        parts.append(struct.pack("<I", len(payload)))
-        parts.append(payload)
-        parts.append(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
-    blob = b"".join(parts)
+    parts = [MAGIC, struct.pack("<HHI", VERSION, len(records), len(arch_json)), arch_json]
+    for r in records:
+        name_b = r.name.encode("utf-8")
+        parts += [struct.pack("<H", len(name_b)), name_b,
+                  struct.pack(f"<BBB{len(r.shape)}I", r.dtype, r.encoding, len(r.shape),
+                              *r.shape)]
+        if r.dtype == DTYPE_I8:
+            parts.append(struct.pack("<fi", r.scale, r.zero_point))
+        parts += [struct.pack("<I", len(r.payload)), r.payload,
+                  struct.pack("<I", zlib.crc32(r.payload))]
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(blob)
+        fh.write(b"".join(parts))
     os.replace(tmp, path)
 
 
@@ -176,8 +173,15 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def text(self, n: int) -> str:
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError:
+            raise StoreError(f"header text at byte {self.off - n} is not UTF-8") from None
 
-def _read_container(path: str):
+
+def _read_container(path: str) -> tuple[dict, list[TensorRecord]]:
+    """The architecture and the tensor records; any header fault is a StoreError."""
     with open(path, "rb") as fh:
         rd = _Reader(fh.read())
     if rd.take(4) != MAGIC:
@@ -186,27 +190,30 @@ def _read_container(path: str):
     if version != VERSION:
         raise VersionUnsupported(f"container version {version}, expected {VERSION}")
     (arch_len,) = rd.unpack("<I")
-    arch = json.loads(rd.take(arch_len).decode("utf-8"))
-    entries = []
+    try:
+        arch = json.loads(rd.text(arch_len))
+    except json.JSONDecodeError as exc:
+        raise StoreError(f"{path}: architecture is not valid JSON ({exc})") from None
+    if not isinstance(arch, dict):
+        raise StoreError(f"{path}: architecture must be a JSON object")
+    records = []
     for _ in range(count):
         (name_len,) = rd.unpack("<H")
-        name = rd.take(name_len).decode("utf-8")
+        name = rd.text(name_len)
         dtype, encoding, rank = rd.unpack("<BBB")
-        shape = tuple(rd.unpack(f"<{rank}I")) if rank else ()
-        scale = zero_point = None
-        if dtype == DTYPE_I8:
-            scale, zero_point = rd.unpack("<fi")
+        if dtype not in DTYPE_NAMES or encoding not in ENCODING_NAMES:
+            raise StoreError(f"tensor '{name}' has unknown dtype {dtype} or encoding {encoding}")
+        shape = rd.unpack(f"<{rank}I")
+        scale, zero_point = rd.unpack("<fi") if dtype == DTYPE_I8 else (None, None)
         (payload_len,) = rd.unpack("<I")
         payload = rd.take(payload_len)
         (crc,) = rd.unpack("<I")
-        crc_ok = (zlib.crc32(payload) & 0xFFFFFFFF) == crc
-        entries.append({"name": name, "dtype": dtype, "encoding": encoding,
-                        "shape": shape, "scale": scale, "zero_point": zero_point,
-                        "payload": payload, "crc_ok": crc_ok})
-    names = [e["name"] for e in entries]
-    if len(set(names)) != len(names):
+        records.append(TensorRecord(name=name, dtype=dtype, encoding=encoding, shape=shape,
+                                    payload=payload, crc_ok=zlib.crc32(payload) == crc,
+                                    scale=scale, zero_point=zero_point))
+    if len({r.name for r in records}) != len(records):
         raise StoreError("duplicate tensor names in container")
-    return arch, entries
+    return arch, records
 
 
 def _arch_dict(layer_sizes, dropout_rate, tied, quant_range=None) -> dict:
@@ -217,46 +224,39 @@ def _arch_dict(layer_sizes, dropout_rate, tied, quant_range=None) -> dict:
     return arch
 
 
+def _save_float(net: NetworkParams, mask: SparsityMask | None, path: str) -> None:
+    records = []
+    for name, arr in net.tensors().items():
+        keep = mask.masks.get(name) if mask is not None else None
+        if keep is not None and np.any(arr[~keep.astype(bool)] != 0.0):
+            raise MaskViolation(name)
+        records.append(_record(name, arr, keep=keep))
+    _write_container(path, _arch_dict(net.layer_sizes, net.dropout_rate,
+                                      net.tied_output_gate), records)
+
+
 def save_dense(net: NetworkParams, path: str) -> None:
     """Float32 container with every tensor stored dense."""
-    tensors = [_TensorSpec(name=name, dtype=DTYPE_F32, encoding=ENC_DENSE, arr=arr)
-               for name, arr in net.tensors().items()]
-    _write_container(path, _arch_dict(net.layer_sizes, net.dropout_rate,
-                                      net.tied_output_gate), tensors)
+    _save_float(net, None, path)
 
 
 def save_sparse(net: NetworkParams, mask: SparsityMask, path: str) -> None:
     """Bitmap-sparse container; masked entries must already be exactly zero."""
-    tensors = []
-    for name, arr in net.tensors().items():
-        keep = mask.masks.get(name)
-        if keep is not None:
-            if np.any(arr[~keep.astype(bool)] != 0.0):
-                raise MaskViolation(name)
-            tensors.append(_TensorSpec(name=name, dtype=DTYPE_F32,
-                                       encoding=ENC_BITMAP, arr=arr, keep=keep))
-        else:
-            tensors.append(_TensorSpec(name=name, dtype=DTYPE_F32, encoding=ENC_DENSE, arr=arr))
-    _write_container(path, _arch_dict(net.layer_sizes, net.dropout_rate,
-                                      net.tied_output_gate), tensors)
+    _save_float(net, mask, path)
 
 
 def save_quantized(qm: QuantizedModel, path: str) -> None:
     """Int8 weights (bitmap-sparse when the model carries a mask), f32 biases."""
     q_range = None
-    tensors = []
+    records = []
     for name, qt in qm.weights.items():
         q_range = (qt.params.q_min, qt.params.q_max)
         keep = qm.mask.masks.get(name) if qm.mask is not None else None
-        tensors.append(_TensorSpec(name=name, dtype=DTYPE_I8,
-                                   encoding=ENC_BITMAP if keep is not None else ENC_DENSE,
-                                   arr=qt.values, keep=keep,
-                                   scale=float(qt.params.scale),
-                                   zero_point=int(qt.params.zero_point)))
-    for name, arr in qm.biases.items():
-        tensors.append(_TensorSpec(name=name, dtype=DTYPE_F32, encoding=ENC_DENSE, arr=arr))
+        records.append(_record(name, qt.values, DTYPE_I8, keep, scale=float(qt.params.scale),
+                               zero_point=int(qt.params.zero_point)))
+    records += [_record(name, arr) for name, arr in qm.biases.items()]
     _write_container(path, _arch_dict(qm.layer_sizes, qm.dropout_rate,
-                                      qm.tied_output_gate, quant_range=q_range), tensors)
+                                      qm.tied_output_gate, quant_range=q_range), records)
 
 
 def load_model(path: str) -> LoadedModel:
@@ -266,73 +266,44 @@ def load_model(path: str) -> LoadedModel:
     or shapes that do not fit it, invalid quantization parameters) raise
     StoreError.
     """
-    arch, entries = _read_container(path)
-    for e in entries:
-        if not e["crc_ok"]:
-            raise CrcMismatch(e["name"])
+    arch, records = _read_container(path)
+    for r in records:
+        if not r.crc_ok:
+            raise CrcMismatch(r.name)
     try:
-        return _assemble_model(arch, entries)
-    except (EdgenetError, KeyError, TypeError, ValueError) as exc:
+        return _assemble_model(arch, records)
+    except (EdgenetError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StoreError(f"{path}: malformed container contents ({exc})") from exc
 
 
-def _assemble_model(arch: dict, entries: list) -> LoadedModel:
+def _assemble_model(arch: dict, records: list[TensorRecord]) -> LoadedModel:
     template = zeros_params(arch["layer_sizes"], dropout_rate=arch["dropout_rate"],
                             tied_output_gate=arch["tied_output_gate"])
     expected = {name: arr.shape for name, arr in template.tensors().items()}
-    found = {e["name"]: e["shape"] for e in entries}
-    if found != expected:
+    if {r.name: r.shape for r in records} != expected:
         raise StoreError("tensor names or shapes do not fit the architecture")
-    quantized = any(e["dtype"] == DTYPE_I8 for e in entries)
-    masks: dict[str, np.ndarray] = {}
-
-    if not quantized:
-        tree = {}
-        for e in entries:
-            values, keep = _decode_payload(e["payload"], e["dtype"], e["encoding"], e["shape"])
-            tree[e["name"]] = values
-            if keep is not None:
-                masks[e["name"]] = keep.astype(np.uint8)
-        mask = _mask_from(masks) if masks else None
-        return LoadedModel(kind="float", params=template.with_tensors(tree), mask=mask)
+    decoded = {r.name: r.decode() for r in records}
+    masks = {name: keep.astype(np.uint8) for name, (_, keep) in decoded.items()
+             if keep is not None}
+    mask = SparsityMask(masks) if masks else None
+    values = {name: v for name, (v, _) in decoded.items()}
+    int8 = [r for r in records if r.dtype == DTYPE_I8]
+    if not int8:
+        return LoadedModel(kind="float", params=template.with_tensors(values), mask=mask)
 
     q_min, q_max = arch.get("quant_range", [-128, 127])
-    weights: dict[str, QuantizedTensor] = {}
-    biases: dict[str, np.ndarray] = {}
-    for e in entries:
-        if e["dtype"] == DTYPE_I8:
-            z = e["zero_point"]
-            scale = float(e["scale"])
-            values, keep = _decode_payload(e["payload"], DTYPE_I8, e["encoding"],
-                                           e["shape"], zero_q=z)
-            params = QuantParams(scale=scale, zero_point=z, q_min=q_min, q_max=q_max,
-                                 f_min=scale * (q_min - z), f_max=scale * (q_max - z))
-            weights[e["name"]] = QuantizedTensor(values=values.astype(np.int8), params=params)
-            if keep is not None:
-                masks[e["name"]] = keep.astype(np.uint8)
-        else:
-            values, _ = _decode_payload(e["payload"], DTYPE_F32, e["encoding"], e["shape"])
-            biases[e["name"]] = values.astype(np.float32)
-    mask = _mask_from(masks) if masks else None
+    weights = {r.name: QuantizedTensor(values[r.name], QuantParams(
+        scale=r.scale, zero_point=r.zero_point, q_min=q_min, q_max=q_max)) for r in int8}
+    biases = {name: v for name, v in values.items() if name not in weights}
     qm = QuantizedModel(weights=weights, biases=biases, layer_sizes=template.layer_sizes,
                         dropout_rate=template.dropout_rate,
                         tied_output_gate=template.tied_output_gate, mask=mask)
     return LoadedModel(kind="quantized", qmodel=qm, mask=mask)
 
 
-def _mask_from(masks: dict[str, np.ndarray]) -> SparsityMask:
-    total = sum(m.size for m in masks.values())
-    zeros = sum(m.size - int(m.sum()) for m in masks.values())
-    return SparsityMask(masks=masks, current_sparsity=zeros / total if total else 0.0)
-
-
 def inspect(path: str) -> list[TensorRecord]:
-    """Tensor table without materializing the model (CRC verified per payload)."""
-    _, entries = _read_container(path)
-    return [TensorRecord(name=e["name"], dtype=e["dtype"], encoding=e["encoding"],
-                         shape=e["shape"], payload_len=len(e["payload"]),
-                         crc_ok=e["crc_ok"], scale=e["scale"], zero_point=e["zero_point"])
-            for e in entries]
+    """Tensor records without materializing the model (CRC verified per payload)."""
+    return _read_container(path)[1]
 
 
 def size_report(paths: list[str], baseline: str,

@@ -25,7 +25,6 @@ class SparsityMask:
     """Binary keep-masks (1 = survivor) for each prunable tensor."""
 
     masks: dict[str, np.ndarray] = field(default_factory=dict)
-    current_sparsity: float = 0.0
 
     def zero_fraction(self) -> float:
         total = sum(m.size for m in self.masks.values())
@@ -91,7 +90,7 @@ def compute_mask(w: np.ndarray, sparsity: float) -> np.ndarray:
 def compute_masks(weights: ParamTree, sparsity: float) -> SparsityMask:
     """Per-tensor masks at one uniform sparsity across all prunable tensors."""
     masks = {name: compute_mask(w, sparsity) for name, w in weights.items()}
-    return SparsityMask(masks=masks, current_sparsity=sparsity)
+    return SparsityMask(masks=masks)
 
 
 def apply_mask(w: np.ndarray, mask: np.ndarray) -> np.ndarray:

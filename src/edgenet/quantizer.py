@@ -27,16 +27,12 @@ class QuantParams:
     zero_point: int
     q_min: int = Q_MIN_DEFAULT
     q_max: int = Q_MAX_DEFAULT
-    f_min: float = 0.0
-    f_max: float = 0.0
 
     def __post_init__(self):
-        if self.scale <= 0.0:
-            raise ConfigError(f"scale must be > 0, got {self.scale}")
+        if not (self.scale > 0.0 and np.isfinite(self.scale)):
+            raise ConfigError(f"scale must be finite and > 0, got {self.scale}")
         if not self.q_min <= self.zero_point <= self.q_max:
             raise ConfigError(f"zero point {self.zero_point} outside [{self.q_min}, {self.q_max}]")
-        if self.f_min > self.f_max:
-            raise ConfigError(f"f_min {self.f_min} > f_max {self.f_max}")
 
 
 @dataclass
@@ -80,12 +76,10 @@ def make_quant_params(f_min: float, f_max: float, q_min: int = Q_MIN_DEFAULT,
     if q_min >= q_max:
         raise ConfigError(f"need q_min < q_max, got [{q_min}, {q_max}]")
     if f_min == f_max:
-        return QuantParams(scale=1.0, zero_point=0, q_min=q_min, q_max=q_max,
-                           f_min=f_min, f_max=f_max)
+        return QuantParams(scale=1.0, zero_point=0, q_min=q_min, q_max=q_max)
     scale = (f_max - f_min) / (q_max - q_min)
     z = int(np.clip(np.rint(q_min - f_min / scale), q_min, q_max))
-    return QuantParams(scale=scale, zero_point=z, q_min=q_min, q_max=q_max,
-                       f_min=f_min, f_max=f_max)
+    return QuantParams(scale=scale, zero_point=z, q_min=q_min, q_max=q_max)
 
 
 def quantize(tensor: np.ndarray, params: QuantParams) -> QuantizedTensor:

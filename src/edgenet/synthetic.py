@@ -66,7 +66,6 @@ def config_dict(seed: int = 42) -> dict:
     """Run config matching the generated CSV, with all defaults spelled out."""
     return {
         "seed": seed,
-        "threshold": 0.5,
         "schema": {
             "columns": [{"name": f"f{i}", "kind": "numeric"} for i in range(N_FEATURES)]
                        + [{"name": "label", "kind": "label"}],

@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from edgenet.cli import main
+from edgenet.cli import build_parser, main
+from edgenet.config import config_from_dict
 from edgenet.data_pipeline import DatasetSplit, save_dataset, split_indices
 from edgenet.lstm_net import zeros_params
 from edgenet.model_store import save_dense
@@ -183,6 +184,21 @@ class TestErrorPaths:
         assert rc == 1
         assert "EmptySplit" in err and "1 rows" in err
 
+    def test_empty_val_split_rejected(self, workdir, capsys):
+        # 9 rows at 0.8/0.1/0.1: 7 train, 0 val, 2 test
+        rc, err = self.preprocess_edited(
+            workdir, capsys, lambda blob: b"\n".join(blob.split(b"\n")[:10]) + b"\n")
+        assert rc == 1
+        assert "EmptySplit" in err and "val split" in err and "9 rows" in err
+
+    def test_short_dataset_file_exit_3(self, tmp_path, capsys):
+        model = str(tmp_path / "zero.eidm")
+        save_dense(zeros_params((3, 4), dropout_rate=0.0), model)
+        data = tmp_path / "short.eidd"
+        data.write_bytes(b"EIDD\x01\x00")
+        assert main(["evaluate", model, str(data)]) == 3
+        assert "shorter than its 12-byte header" in capsys.readouterr().err
+
     def test_non_utf8_byte_rejected(self, workdir, capsys):
         rc, err = self.preprocess_edited(workdir, capsys,
                                          lambda blob: blob.replace(b"0.", b"\xff0.", 1))
@@ -244,6 +260,69 @@ class TestErrorPaths:
             rc = main(["train", "--config", str(bad_cfg), "--data", data,
                        "--out", str(tmp / "m")])
         assert rc == 4
+
+
+# (key path in the config, wrong value, name the error must give)
+BAD_CONFIG_VALUES = {
+    "epochs_null": (("phases", "dense", "epochs"), None, "phases.dense.epochs"),
+    "epochs_fraction": (("phases", "dense", "epochs"), 2.9, "phases.dense.epochs"),
+    "seed_fraction": (("seed",), 1.5, "seed"),
+    "layers_string": (("architecture", "layers"), "abc", "architecture.layers"),
+    "tied_gate_string": (("architecture", "tied_output_gate"), "false",
+                         "architecture.tied_output_gate"),
+    "learning_rate_bool": (("phases", "sparse", "learning_rate"), True,
+                           "phases.sparse.learning_rate"),
+    "ratios_not_list": (("split", "ratios"), 0.8, "split.ratios"),
+    "ratio_string": (("split", "ratios"), [0.8, "0.1", 0.1], "split.ratios"),
+    "columns_not_list": (("schema", "columns"), "f0", "schema.columns"),
+    "clip_string": (("grad_clip_norm",), "5", "grad_clip_norm"),
+    "a0_beyond_float": (("pruning", "a0"), 10 ** 400, "pruning.a0"),
+    "no_selected_features": (("schema", "selected_features"), [], "schema.selected_features"),
+    "threshold_removed": (("threshold",), 0.5, "threshold"),
+}
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIG_VALUES))
+    def test_wrong_json_type_exit_1(self, workdir, capsys, case):
+        tmp, cfg, csv = workdir
+        keys, value, name = BAD_CONFIG_VALUES[case]
+        doc = json.loads(open(cfg).read())
+        section = doc
+        for key in keys[:-1]:
+            section = section[key]
+        section[keys[-1]] = value
+        bad_cfg = tmp / "bad.json"
+        bad_cfg.write_text(json.dumps(doc), encoding="utf-8")
+        rc = main(["preprocess", "--config", str(bad_cfg), "--csv", csv,
+                   "--out", str(tmp / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and name in err
+        assert not os.path.exists(tmp / "out")
+
+    def test_null_clip_norm_turns_clipping_off(self):
+        doc = config_dict()
+        doc["grad_clip_norm"] = None
+        assert config_from_dict(doc).trainer.grad_clip_norm is None
+        assert config_from_dict(config_dict()).trainer.grad_clip_norm == 5.0
+
+
+class TestParser:
+    def test_built_once_and_eval_flags_stay_per_call(self, tmp_path, capsys):
+        assert build_parser() is build_parser()
+        for name in ("a", "b"):
+            save_dense(zeros_params((3, 4), dropout_rate=0.0), str(tmp_path / f"{name}.eidm"))
+        (tmp_path / "a.csv").write_text("FAR%,Acc%\n1.0,90.0\n", encoding="utf-8")
+        (tmp_path / "b.csv").write_text("FAR%,Acc%\n1.0,80.0\n", encoding="utf-8")
+        rows = {}
+        for name in ("a", "b"):
+            assert main(["size-report", "--baseline", str(tmp_path / "a.eidm"),
+                         str(tmp_path / "b.eidm"),
+                         "--eval", f"{name}={tmp_path / (name + '.csv')}"]) == 0
+            rows[name] = [line.split(",")[:2] for line in capsys.readouterr().out.split()[1:]]
+        assert rows == {"a": [["a", "90.0000"], ["b", ""]],
+                        "b": [["a", ""], ["b", "80.0000"]]}
 
 
 class TestPreprocessCompatibility:

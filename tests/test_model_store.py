@@ -247,6 +247,7 @@ MALFORMED = {
     "dropout_rate_1.5": ("dense", b'"dropout_rate":0.0', -3, b"1.5"),
     "zero_hidden_size": ("dense", b'"layer_sizes":[3,4,4]', -2, b"0"),
     "negative_int8_scale": ("int8", b"layer0.w_f", 3 + 4 * 2, struct.pack("<f", -1.0)),
+    "nan_int8_scale": ("int8", b"layer0.w_f", 3 + 4 * 2, struct.pack("<f", float("nan"))),
     "gate_shape_mismatch": ("dense", b"layer0.w_i", 3, struct.pack("<2I", 7, 4)),
 }
 
@@ -277,6 +278,66 @@ class TestMalformedContents:
         with pytest.raises(StoreError):
             load_model(path)
         assert main(["predict", path, "--features", "0.1,0.2,0.3"]) == 3
+
+
+def _with_arch(blob: bytes, arch: bytes) -> bytes:
+    """The container with its architecture bytes (and their length) replaced."""
+    (old_len,) = struct.unpack_from("<I", blob, 8)
+    return blob[:8] + struct.pack("<I", len(arch)) + arch + blob[12 + old_len:]
+
+
+# Header faults that no CRC covers; every one must end in StoreError.
+HEADER_FAULTS = {
+    "dtype_7": lambda b: _patch_after(b, b"layer0.b_f", 0, b"\x07"),
+    "encoding_9": lambda b: _patch_after(b, b"layer0.w_f", 1, b"\x09"),
+    "name_not_utf8": lambda b: _patch_after(b, b"layer0.w_f", -4, b"\xff"),
+    "arch_not_utf8": lambda b: _with_arch(b, b'{"\xff":1}'),
+    "arch_not_json": lambda b: _with_arch(b, b"{layer_sizes"),
+    "arch_not_object": lambda b: _with_arch(b, b"[3,4,4]"),
+}
+
+
+class TestHeaderFaults:
+    @staticmethod
+    def pruned_int8(tmp_path) -> str:
+        net, mask = pruned_net(6)
+        path = str(tmp_path / "pq.eidm")
+        save_quantized(quantize_model(net, mask=mask), path)
+        return path
+
+    @pytest.mark.parametrize("case", sorted(HEADER_FAULTS))
+    def test_store_error_and_exit_3(self, tmp_path, capsys, case):
+        path = self.pruned_int8(tmp_path)
+        with open(path, "rb") as fh:
+            blob = HEADER_FAULTS[case](fh.read())
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        for read in (load_model, inspect):
+            with pytest.raises(StoreError):
+                read(path)
+        assert main(["dump", path]) == 3
+        assert main(["predict", path, "--features", "0.1,0.2,0.3"]) == 3
+        assert capsys.readouterr().err.count("error: ") == 2
+
+    def test_every_byte_flip_is_a_store_error_or_a_model(self, tmp_path):
+        path = self.pruned_int8(tmp_path)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        escapes = set()
+        for at in range(len(blob)):
+            for flip in (0x01, 0x80, 0xFF):
+                mutated = bytearray(blob)
+                mutated[at] ^= flip
+                with open(path, "wb") as fh:
+                    fh.write(mutated)
+                for read in (load_model, inspect):
+                    try:
+                        read(path)
+                    except StoreError:
+                        pass
+                    except Exception as exc:  # any other type is an escape
+                        escapes.add((read.__name__, type(exc).__name__, at, flip))
+        assert sorted(escapes) == []
 
 
 class TestSizeReport:

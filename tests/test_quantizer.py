@@ -138,7 +138,7 @@ class TestQuantizeModel:
         net = init_params((3, 4), seed=1)
         qm = quantize_model(net, fixed_range=True)
         for qt in qm.weights.values():
-            assert (qt.params.f_min, qt.params.f_max) == (-1.0, 1.0)
+            assert (qt.params.scale, qt.params.zero_point) == (2 / 255, 0)
 
     def test_quantized_close_to_float_on_random_nets(self):
         rng = np.random.default_rng(123)
