@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -45,11 +46,11 @@ def cmd_preprocess(cfg: RunConfig, csv_in: str, out_dir: str) -> int:
     if cfg.schema is None:
         raise ConfigError("preprocess needs a config with a 'schema' section")
     table = dp.load_csv(csv_in, cfg.schema)
-    splits = dict(zip(SPLIT_FILES, dp.split_indices(len(table), cfg.ratios, cfg.seed)))
+    splits = dict(zip(SPLIT_FILES, dp.split_indices(len(table), cfg.split.ratios, cfg.seed)))
     for name, indices in splits.items():
         if len(indices) == 0:
             raise EmptySplit(f"the {name} split has no rows ({len(table)} rows in all, "
-                             f"ratios {list(cfg.ratios)})")
+                             f"ratios {list(cfg.split.ratios)})")
     enc = dp.fit_label_encoding(table, cfg.schema, row_indices=splits["train"])
     stats = dp.fit_minmax(table, cfg.schema, enc, row_indices=splits["train"])
 
@@ -60,7 +61,7 @@ def cmd_preprocess(cfg: RunConfig, csv_in: str, out_dir: str) -> int:
         dp.save_dataset(split, os.path.join(out_dir, SPLIT_FILES[name]))
         counts[name] = len(split)
     dp.save_sidecar(os.path.join(out_dir, "sidecar.json"), cfg.schema, enc, stats,
-                    meta={"seed": cfg.seed, "ratios": list(cfg.ratios), "rows": counts})
+                    meta={"seed": cfg.seed, "ratios": list(cfg.split.ratios), "rows": counts})
     print(f"preprocessed {len(table)} rows -> " +
           ", ".join(f"{k}={v}" for k, v in counts.items()))
     return EXIT_OK
@@ -69,7 +70,7 @@ def cmd_preprocess(cfg: RunConfig, csv_in: str, out_dir: str) -> int:
 def cmd_train(cfg: RunConfig, data_dir: str, out_dir: str) -> int:
     train_split = dp.load_dataset(os.path.join(data_dir, SPLIT_FILES["train"]))
     val_split = dp.load_dataset(os.path.join(data_dir, SPLIT_FILES["val"]))
-    net, run = train_dsd(cfg.trainer, train_split, val_split, seed=cfg.seed)
+    net, run = train_dsd(cfg, train_split, val_split)
 
     os.makedirs(out_dir, exist_ok=True)
     store.save_dense(run.dense_params, os.path.join(out_dir, "checkpoint_dense.eidm"))
@@ -92,9 +93,9 @@ def cmd_quantize(model_in: str, model_out: str, cfg: RunConfig) -> int:
         store.save_quantized(loaded.qmodel, model_out)
         print(f"{model_in} is already quantized; re-serialized to {model_out}")
         return EXIT_OK
-    qm = quantize_model(loaded.params, mask=loaded.mask,
-                        fixed_range=cfg.quant.fixed_range,
-                        q_min=cfg.quant.q_min, q_max=cfg.quant.q_max)
+    quant = cfg.quantization
+    qm = quantize_model(loaded.params, mask=loaded.mask, fixed_range=quant.fixed_range,
+                        q_min=quant.q_min, q_max=quant.q_max)
     store.save_quantized(qm, model_out)
     ratio = os.path.getsize(model_in) / os.path.getsize(model_out)
     print(f"quantized {model_in} -> {model_out} ({ratio:.2f}x smaller)")
@@ -149,6 +150,9 @@ def cmd_size_report(baseline: str, others: list[str], evals: dict[str, str],
     for name, csv_path in evals.items():
         accuracies[name] = _accuracy_from_metrics_csv(csv_path)
     report = store.size_report(others, baseline, accuracies=accuracies)
+    unmatched = sorted(set(evals) - {row.name for row in report.rows})
+    if unmatched:
+        raise ConfigError(f"--eval names no model in the report: {', '.join(unmatched)}")
     text = report.csv()
     print(text, end="")
     if out_file:
@@ -157,9 +161,12 @@ def cmd_size_report(baseline: str, others: list[str], evals: dict[str, str],
 
 
 def _accuracy_from_metrics_csv(path: str) -> float:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        row = fh.readline().strip().split(",")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            row = fh.readline().strip().split(",")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path} is not a metrics CSV (not UTF-8 text)") from None
     try:
         return float(row[header.index("Acc%")]) / 100.0
     except (ValueError, IndexError):
@@ -243,15 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "preprocess":
+    if args.command in ("preprocess", "train"):
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg.seed = args.seed
-        return cmd_preprocess(cfg, args.csv, args.out)
-    if args.command == "train":
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
+            cfg = replace(cfg, seed=args.seed)
+        if args.command == "preprocess":
+            return cmd_preprocess(cfg, args.csv, args.out)
         return cmd_train(cfg, args.data, args.out)
     if args.command == "quantize":
         return cmd_quantize(args.model_in, args.model_out, load_config(args.config))

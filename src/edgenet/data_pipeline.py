@@ -69,18 +69,32 @@ class FeatureSchema:
                 "selected_features": list(self.selected_features)}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "FeatureSchema":
-        """Schema from its JSON form; a missing key or a wrong type is a ConfigError."""
-        obj = obj if isinstance(obj, dict) else {}
+    def from_json(cls, obj, where: str = "schema") -> "FeatureSchema":
+        """Schema from its JSON form at dotted key ``where``; a missing or
+        unknown key or a wrong type is a ConfigError naming the key."""
+        check_json_object(obj, ("columns", "selected_features"), where)
         cols, selected = obj.get("columns"), obj.get("selected_features")
-        if not isinstance(cols, list) or not all(isinstance(c, dict) and isinstance(
-                c.get("name"), str) and isinstance(c.get("kind"), str) for c in cols):
-            raise ConfigError("schema.columns must be a list of {name, kind} string objects")
+        if not isinstance(cols, list):
+            raise ConfigError(f"{where}.columns must be a list of {{name, kind}} string objects")
+        for i, c in enumerate(cols):
+            check_json_object(c, ("name", "kind"), f"{where}.columns[{i}]")
+            if not (isinstance(c.get("name"), str) and isinstance(c.get("kind"), str)):
+                raise ConfigError(f"{where}.columns[{i}] needs a string name and kind")
         if not (isinstance(selected, list) and selected
                 and all(isinstance(f, str) for f in selected)):
-            raise ConfigError("schema.selected_features must be a non-empty list of strings")
-        return cls(columns=[ColumnSpec(name=c["name"], kind=c["kind"]) for c in cols],
-                   selected_features=selected)
+            raise ConfigError(f"{where}.selected_features must be a non-empty list of strings")
+        return cls(columns=[ColumnSpec(**c) for c in cols], selected_features=selected)
+
+
+def check_json_object(obj, keys, where: str) -> None:
+    """Reject ``obj`` unless it is a JSON object with no key outside ``keys``;
+    errors name it by its dotted key ``where`` ("" for the whole config)."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where or 'config'} must be a JSON object, got {type(obj).__name__}")
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ConfigError("unknown config key(s): "
+                          + ", ".join(f"{where}.{k}" if where else k for k in unknown))
 
 
 @dataclass

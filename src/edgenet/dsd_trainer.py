@@ -5,12 +5,11 @@ runs in place on the network's 2L+2 stacked arrays (``NetworkParams.rows()``,
 one row per gate tensor); penalties and the clipping norm are reduced row by
 row and added in ``tensors()`` order, which keeps outputs byte-identical to
 a loop over the gate tensors. Each phase runs momentum SGD at its own
-learning rate (defaults 0.1, 0.01, 0.001) with a shared momentum of 0.9 and
-fresh momentum buffers. The sparse phase recomputes the per-gate magnitude
-mask every epoch along a linear sparsity ramp, re-applies it after every
-optimizer step, and adds the selective penalty a*TWD on the sub-threshold
-survivor subset. The re-dense phase lifts the mask so pruned weights resume
-training from zero.
+learning rate with a shared momentum and fresh momentum buffers. The sparse
+phase recomputes the per-gate magnitude mask every epoch along a linear
+sparsity ramp, re-applies it after every optimizer step, and adds the
+selective penalty a*TWD on the sub-threshold survivor subset. The re-dense
+phase lifts the mask so pruned weights resume training from zero.
 
 Reported train loss per epoch decomposes as err + wd + a_twd (batch means).
 Validation loss is plain BCE. Early stopping watches validation AUC and
@@ -24,89 +23,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RunConfig
 from .data_pipeline import DatasetSplit
 from .errors import ConfigError, NonFiniteLoss, SingleClassInput
 from .lstm_net import (NetworkParams, backward, bce_loss, forward_batch,
                        init_params, is_weight_name, stack_rows)
 from .metrics import roc_curve
 from .optimizer import ParamTree, SgdmState, l2_term, sgdm_step
-from .pruning import (SparsityMask, SparsitySchedule, SwdConfig, apply_masks,
-                      compute_masks, schedule_a, schedule_sparsity,
-                      select_swd_subset, total_weight_decay)
+from .pruning import (SparsityMask, apply_masks, compute_masks, schedule_a,
+                      schedule_sparsity, select_swd_subset, total_weight_decay)
 
 PHASE_DENSE = "dense"
 PHASE_SPARSE = "sparse"
 PHASE_REDENSE = "redense"
-
-
-@dataclass(frozen=True)
-class PhaseConfig:
-    learning_rate: float
-    epochs: int
-    batch_size: int = 256
-
-    def __post_init__(self):
-        if self.learning_rate < 0.0:
-            raise ConfigError(f"learning rate must be >= 0, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-
-
-@dataclass(frozen=True)
-class EarlyStopPolicy:
-    """Patience on validation AUC; per-phase enable flags."""
-
-    patience: int = 5
-    dense: bool = True
-    sparse: bool = False
-    redense: bool = True
-
-    def __post_init__(self):
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
-
-    def enabled(self, phase: str) -> bool:
-        return {PHASE_DENSE: self.dense, PHASE_SPARSE: self.sparse,
-                PHASE_REDENSE: self.redense}[phase]
-
-
-@dataclass(frozen=True)
-class ArchConfig:
-    n_layers: int = 3
-    hidden_size: int = 32
-    dropout_rate: float = 0.1
-    tied_output_gate: bool = False
-    seq_len: int = 1
-
-    def __post_init__(self):
-        if self.n_layers < 1 or self.hidden_size < 1 or self.seq_len < 1:
-            raise ConfigError("layers, hidden size and sequence length must be >= 1")
-
-
-@dataclass(frozen=True)
-class TrainerConfig:
-    arch: ArchConfig = ArchConfig()
-    dense: PhaseConfig = PhaseConfig(learning_rate=0.1, epochs=30)
-    sparse: PhaseConfig = PhaseConfig(learning_rate=0.01, epochs=30)
-    redense: PhaseConfig = PhaseConfig(learning_rate=0.001, epochs=30)
-    momentum: float = 0.9
-    swd: SwdConfig = SwdConfig()
-    sparsity_initial: float = 0.25
-    sparsity_final: float = 0.8
-    early_stop: EarlyStopPolicy = EarlyStopPolicy()
-    grad_clip_norm: float | None = 5.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.grad_clip_norm is not None and self.grad_clip_norm <= 0.0:
-            raise ConfigError("grad_clip_norm must be positive or None")
-
-    def sparsity_schedule(self) -> SparsitySchedule:
-        return SparsitySchedule(initial=self.sparsity_initial,
-                                final=self.sparsity_final, epochs=self.sparse.epochs)
 
 
 @dataclass
@@ -143,12 +72,11 @@ class TrainRun:
 class TrainContext:
     """Shared per-run state: config, PRNG streams, validation data, records."""
 
-    cfg: TrainerConfig
+    cfg: RunConfig
     val: DatasetSplit | None
     dropout_rng: np.random.Generator
     shuffle_rng: np.random.Generator
     records: list[EpochRecord] = field(default_factory=list)
-    next_epoch: int = 0
     mask_violations: int = 0
 
 
@@ -171,7 +99,7 @@ def _clip_global_norm(grads: ParamTree, clip: float) -> None:
 def _validate(net: NetworkParams, ctx: TrainContext) -> tuple[float, float]:
     if ctx.val is None or len(ctx.val) == 0:
         return float("nan"), float("nan")
-    x = to_sequences(ctx.val.features, ctx.cfg.arch.seq_len)
+    x = to_sequences(ctx.val.features, ctx.cfg.architecture.seq_len)
     p, _ = forward_batch(net, x, mode="eval")
     loss = float(np.mean(bce_loss(p, ctx.val.labels.astype(np.float64))))
     try:
@@ -186,12 +114,12 @@ def _run_phase(net: NetworkParams, data: DatasetSplit, ctx: TrainContext, phase:
     """Shared epoch loop; trains ``net`` in place with the settings
     ``ctx.cfg`` gives ``phase``. Returns the sparse phase's final mask, None
     in the other phases."""
-    cfg, swd, sched = getattr(ctx.cfg, phase), ctx.cfg.swd, ctx.cfg.sparsity_schedule()
-    early_enabled = ctx.cfg.early_stop.enabled(phase)
+    cfg, swd = getattr(ctx.cfg.phases, phase), ctx.cfg.pruning
+    early_enabled = getattr(ctx.cfg.early_stop, phase)
     rows = net.rows()
     weights = [k for k in rows if is_weight_name(k)]
-    state = SgdmState.init(rows, alpha=ctx.cfg.momentum, eta=cfg.learning_rate)
-    x_seq = to_sequences(data.features, ctx.cfg.arch.seq_len)
+    state = SgdmState.init(rows, alpha=ctx.cfg.phases.momentum, eta=cfg.learning_rate)
+    x_seq = to_sequences(data.features, ctx.cfg.architecture.seq_len)
     y = data.labels.astype(np.float64)
     n = len(y)
 
@@ -204,7 +132,7 @@ def _run_phase(net: NetworkParams, data: DatasetSplit, ctx: TrainContext, phase:
     for e in range(cfg.epochs):
         a = 0.0
         if phase == PHASE_SPARSE:
-            sparsity = schedule_sparsity(min(e, sched.epochs - 1), sched)
+            sparsity = schedule_sparsity(e, swd, cfg.epochs)
             tree = net.tensors()
             cur_mask = compute_masks({k: tree[k] for k in net.weight_names()}, sparsity)
             keep = SparsityMask(stack_rows(cur_mask.masks))
@@ -263,10 +191,9 @@ def _run_phase(net: NetworkParams, data: DatasetSplit, ctx: TrainContext, phase:
         val_loss, val_auc = _validate(net, ctx)
         err_m, wd_m, twd_m = err_sum / n_batches, wd_sum / n_batches, twd_sum / n_batches
         ctx.records.append(EpochRecord(
-            epoch=ctx.next_epoch, phase=phase, train_loss=err_m + wd_m + twd_m,
+            epoch=len(ctx.records), phase=phase, train_loss=err_m + wd_m + twd_m,
             err=err_m, wd=wd_m, a_twd=twd_m, val_loss=val_loss, val_auc=val_auc,
             sparsity=report_sparsity, a=a))
-        ctx.next_epoch += 1
 
         if early_enabled and ctx.val is not None:
             metric = val_auc if np.isfinite(val_auc) else -np.inf
@@ -287,22 +214,22 @@ def _run_phase(net: NetworkParams, data: DatasetSplit, ctx: TrainContext, phase:
     return cur_mask
 
 
-def train_dsd(cfg: TrainerConfig, train_split: DatasetSplit, val_split: DatasetSplit,
-              seed: int) -> tuple[NetworkParams, TrainRun]:
-    """Run all three phases in order; fully deterministic given the seed."""
+def train_dsd(cfg: RunConfig, train_split: DatasetSplit,
+              val_split: DatasetSplit) -> tuple[NetworkParams, TrainRun]:
+    """Run all three phases in order; fully deterministic given ``cfg.seed``."""
     if len(train_split) == 0 or len(val_split) == 0:
         raise ConfigError("train and validation splits must be non-empty")
+    arch = cfg.architecture
     n_features = train_split.features.shape[1]
-    if n_features % cfg.arch.seq_len != 0:
-        raise ConfigError(f"{n_features} features not divisible by seq_len {cfg.arch.seq_len}")
-    input_dim = n_features // cfg.arch.seq_len
+    if n_features % arch.seq_len != 0:
+        raise ConfigError(f"{n_features} features not divisible by seq_len {arch.seq_len}")
+    input_dim = n_features // arch.seq_len
 
-    root = np.random.SeedSequence(seed)
+    root = np.random.SeedSequence(cfg.seed)
     init_ss, drop_ss, shuf_ss = root.spawn(3)
-    layer_sizes = [input_dim] + [cfg.arch.hidden_size] * cfg.arch.n_layers
+    layer_sizes = [input_dim] + [arch.hidden] * arch.layers
     net = init_params(layer_sizes, seed=int(init_ss.generate_state(1)[0]),
-                      dropout_rate=cfg.arch.dropout_rate,
-                      tied_output_gate=cfg.arch.tied_output_gate)
+                      dropout_rate=arch.dropout, tied_output_gate=arch.tied_output_gate)
 
     ctx = TrainContext(cfg=cfg, val=val_split, dropout_rng=np.random.default_rng(drop_ss),
                        shuffle_rng=np.random.default_rng(shuf_ss))

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import Pruning
 from .errors import ConfigError, DimensionMismatch, EmptyTensor, EpochOutOfRange
 
 ParamTree = dict[str, np.ndarray]
@@ -30,42 +31,6 @@ class SparsityMask:
         total = sum(m.size for m in self.masks.values())
         zeros = sum(m.size - int(m.sum()) for m in self.masks.values())
         return zeros / total if total else 0.0
-
-
-@dataclass(frozen=True)
-class SwdConfig:
-    """Selective-weight-decay knobs: a grows geometrically, capped at T."""
-
-    a0: float = 0.001
-    a_growth: float = 1.2
-    target_threshold: float = 0.5  # T
-    mu: float = 1e-4
-
-    def __post_init__(self):
-        if self.a0 <= 0.0:
-            raise ConfigError(f"a0 must be > 0, got {self.a0}")
-        if self.a_growth <= 1.0:
-            raise ConfigError(f"a_growth must be > 1, got {self.a_growth}")
-        if not 0.0 < self.target_threshold <= 1.0:
-            raise ConfigError(f"T must be in (0, 1], got {self.target_threshold}")
-        if self.mu < 0.0:
-            raise ConfigError(f"mu must be >= 0, got {self.mu}")
-
-
-@dataclass(frozen=True)
-class SparsitySchedule:
-    """Linear ramp of the pruned fraction across the sparse-phase epochs."""
-
-    initial: float = 0.25
-    final: float = 0.8
-    epochs: int = 30
-
-    def __post_init__(self):
-        if not 0.0 <= self.initial <= self.final < 1.0:
-            raise ConfigError(
-                f"need 0 <= initial <= final < 1, got ({self.initial}, {self.final})")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
 
 
 def _survivor_count(n: int, sparsity: float) -> int:
@@ -152,17 +117,18 @@ def total_weight_decay(w: np.ndarray, sel: np.ndarray,
     return mu * sums.reshape(w.shape[:-1]), 2.0 * mu * w[sel]
 
 
-def schedule_sparsity(epoch: int, sched: SparsitySchedule) -> float:
-    """Linear ramp from initial to final over the scheduled epochs."""
-    if not 0 <= epoch < sched.epochs:
-        raise EpochOutOfRange(f"epoch {epoch} outside [0, {sched.epochs})")
-    if sched.epochs == 1:
-        return sched.final
-    return sched.initial + (sched.final - sched.initial) * epoch / (sched.epochs - 1)
+def schedule_sparsity(epoch: int, pruning: Pruning, epochs: int) -> float:
+    """Linear ramp from initial to final sparsity over ``epochs`` epochs."""
+    if not 0 <= epoch < epochs:
+        raise EpochOutOfRange(f"epoch {epoch} outside [0, {epochs})")
+    if epochs == 1:
+        return pruning.final_sparsity
+    return (pruning.initial_sparsity
+            + (pruning.final_sparsity - pruning.initial_sparsity) * epoch / (epochs - 1))
 
 
-def schedule_a(epoch: int, cfg: SwdConfig) -> float:
+def schedule_a(epoch: int, pruning: Pruning) -> float:
     """Geometric growth a0 * growth^epoch, capped at the target threshold T."""
     if epoch < 0:
         raise EpochOutOfRange(f"epoch must be >= 0, got {epoch}")
-    return min(cfg.a0 * cfg.a_growth ** epoch, cfg.target_threshold)
+    return min(pruning.a0 * pruning.a_growth ** epoch, pruning.target_threshold)

@@ -15,8 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
+
+from .config import RunConfig
+from .data_pipeline import KIND_LABEL, KIND_NUMERIC, ColumnSpec, FeatureSchema
 
 N_ROWS_DEFAULT = 5000
 N_FEATURES = 10
@@ -64,29 +68,11 @@ def write_csv(path: str, x: np.ndarray, y: np.ndarray) -> None:
 
 def config_dict(seed: int = 42) -> dict:
     """Run config matching the generated CSV, with all defaults spelled out."""
-    return {
-        "seed": seed,
-        "schema": {
-            "columns": [{"name": f"f{i}", "kind": "numeric"} for i in range(N_FEATURES)]
-                       + [{"name": "label", "kind": "label"}],
-            "selected_features": [f"f{i}" for i in range(N_FEATURES)],
-        },
-        "split": {"ratios": [0.8, 0.1, 0.1]},
-        "architecture": {"layers": 3, "hidden": 32, "dropout": 0.1,
-                         "tied_output_gate": False, "seq_len": 1},
-        "phases": {
-            "momentum": 0.9,
-            "dense": {"learning_rate": 0.1, "epochs": 30, "batch_size": 256},
-            "sparse": {"learning_rate": 0.01, "epochs": 30, "batch_size": 256},
-            "redense": {"learning_rate": 0.001, "epochs": 30, "batch_size": 256},
-        },
-        "pruning": {"initial_sparsity": 0.25, "final_sparsity": 0.8,
-                    "a0": 0.001, "a_growth": 1.2, "target_threshold": 0.5,
-                    "mu": 0.0001},
-        "quantization": {"q_min": -128, "q_max": 127, "fixed_range": False},
-        "early_stop": {"patience": 5, "dense": True, "sparse": False, "redense": True},
-        "grad_clip_norm": 5.0,
-    }
+    schema = FeatureSchema(
+        columns=[ColumnSpec(f"f{i}", KIND_NUMERIC) for i in range(N_FEATURES)]
+        + [ColumnSpec("label", KIND_LABEL)],
+        selected_features=[f"f{i}" for i in range(N_FEATURES)])
+    return asdict(RunConfig(seed=seed, schema=schema))
 
 
 def main(argv=None) -> int:

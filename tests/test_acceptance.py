@@ -75,7 +75,7 @@ def pipeline(tmp_path_factory):
     val = load_dataset(os.path.join(ctx["data"], "val.eidd"))
     from edgenet.config import load_config
     cfg = load_config(ctx["config"])
-    net, run = train_dsd(cfg.trainer, train, val, seed=cfg.seed)
+    net, run = train_dsd(cfg, train, val)
     ctx["direct_net"] = net
     ctx["direct_run"] = run
     return ctx

@@ -1,13 +1,15 @@
 import hashlib
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from edgenet.cli import build_parser, main
-from edgenet.config import config_from_dict
-from edgenet.data_pipeline import DatasetSplit, save_dataset, split_indices
+from edgenet.config import RunConfig, config_from_dict
+from edgenet.data_pipeline import (ColumnSpec, DatasetSplit, FeatureSchema, save_dataset,
+                                   split_indices)
 from edgenet.lstm_net import zeros_params
 from edgenet.model_store import save_dense
 from edgenet.synthetic import config_dict, make_synthetic, write_csv
@@ -138,6 +140,45 @@ class TestErrorPaths:
         assert rc == 1
         assert "seeed" in capsys.readouterr().err
 
+    def test_non_utf8_config_rejected(self, workdir, capsys):
+        tmp, cfg, csv = workdir
+        blob = open(cfg, "rb").read().replace(b'"f0"', b'"f\xff0"', 1)
+        bad_cfg = tmp / "bad.json"
+        bad_cfg.write_bytes(blob)
+        rc = main(["preprocess", "--config", str(bad_cfg), "--csv", csv,
+                   "--out", str(tmp / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "UTF-8" in err
+        assert not os.path.exists(tmp / "out")
+
+    @pytest.mark.parametrize("command", ["preprocess", "train"])
+    def test_negative_seed_flag_rejected(self, workdir, capsys, command):
+        tmp, cfg, csv = workdir
+        data, out = str(tmp / "data"), tmp / "out"
+        assert main(["preprocess", "--config", cfg, "--csv", csv, "--out", data]) == 0
+        inputs = ["--csv", csv] if command == "preprocess" else ["--data", data]
+        rc = main([command, "--config", cfg, *inputs, "--out", str(out), "--seed", "-1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "seed must be >= 0" in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("name,metrics,message", [
+        ("typo", b"FAR%,Acc%\n1.0,90.0\n", "names no model in the report: typo"),
+        ("a", b"FAR%,Acc%\n1.0,9\xff0.0\n", "not UTF-8"),
+    ], ids=["unknown_name", "not_utf8"])
+    def test_size_report_eval_faults(self, tmp_path, capsys, name, metrics, message):
+        save_dense(zeros_params((3, 4), dropout_rate=0.0), str(tmp_path / "a.eidm"))
+        (tmp_path / "m.csv").write_bytes(metrics)
+        out = tmp_path / "report.csv"
+        rc = main(["size-report", "--baseline", str(tmp_path / "a.eidm"),
+                   "--eval", f"{name}={tmp_path / 'm.csv'}", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and message in err
+        assert not os.path.exists(out)
+
     def test_missing_model_is_io_error(self, tmp_path, capsys):
         rc = main(["dump", str(tmp_path / "nope.eidm")])
         assert rc == 3
@@ -262,8 +303,15 @@ class TestErrorPaths:
         assert rc == 4
 
 
-# (key path in the config, wrong value, name the error must give)
+# (key path in the config, bad value, text the error must give)
 BAD_CONFIG_VALUES = {
+    "schema_key_typo": (("schema", "selected_featurs"), ["f0"], "schema.selected_featurs"),
+    "column_key_typo": (("schema", "columns", 0, "knd"), "numeric", "schema.columns[0].knd"),
+    "seed_negative": (("seed",), -1, "seed must be >= 0"),
+    "dropout_above_one": (("architecture", "dropout"), 1.5, "architecture: dropout"),
+    "final_sparsity_above_one": (("pruning", "final_sparsity"), 1.5, "final_sparsity < 1"),
+    "learning_rate_nan": (("phases", "dense", "learning_rate"), float("nan"),
+                          "phases.dense.learning_rate"),
     "epochs_null": (("phases", "dense", "epochs"), None, "phases.dense.epochs"),
     "epochs_fraction": (("phases", "dense", "epochs"), 2.9, "phases.dense.epochs"),
     "seed_fraction": (("seed",), 1.5, "seed"),
@@ -304,8 +352,26 @@ class TestConfigTypes:
     def test_null_clip_norm_turns_clipping_off(self):
         doc = config_dict()
         doc["grad_clip_norm"] = None
-        assert config_from_dict(doc).trainer.grad_clip_norm is None
-        assert config_from_dict(config_dict()).trainer.grad_clip_norm == 5.0
+        assert config_from_dict(doc).grad_clip_norm is None
+        assert config_from_dict(config_dict()).grad_clip_norm == 5.0
+
+    def test_demo_config_is_the_defaults_plus_its_schema(self):
+        demo = FeatureSchema(columns=[ColumnSpec(f"f{i}", "numeric") for i in range(10)]
+                             + [ColumnSpec("label", "label")],
+                             selected_features=[f"f{i}" for i in range(10)])
+        assert config_from_dict({}) == RunConfig()
+        assert config_from_dict(config_dict()) == RunConfig(schema=demo)
+        assert config_from_dict(config_dict(seed=7)) == RunConfig(seed=7, schema=demo)
+
+    def test_readme_config_block_is_the_defaults(self):
+        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+                      encoding="utf-8").read()
+        section = readme[readme.index("## Configuration"):]
+        block = section[section.index("```json\n") + 8:]
+        doc = json.loads(block[:block.index("```")])
+        expected = RunConfig(schema=FeatureSchema.from_json(doc["schema"]))
+        assert config_from_dict(doc) == expected
+        assert doc == json.loads(json.dumps(asdict(expected)))  # every key shown
 
 
 class TestParser:

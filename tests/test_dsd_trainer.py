@@ -1,16 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from edgenet.config import Architecture, EarlyStop, Phase, Phases, Pruning, RunConfig
 from edgenet.data_pipeline import DatasetSplit, split_indices
 from edgenet.dsd_trainer import (PHASE_DENSE, PHASE_REDENSE, PHASE_SPARSE,
-                                 ArchConfig, EarlyStopPolicy, PhaseConfig,
-                                 TrainContext, TrainerConfig, _run_phase,
-                                 to_sequences, train_dsd)
+                                 TrainContext, _run_phase, to_sequences, train_dsd)
 from edgenet.errors import ConfigError, NonFiniteLoss
 from edgenet.lstm_net import (NetworkParams, backward, bce_loss, forward_batch,
                               init_params, scores)
 from edgenet.optimizer import SgdmState, l2_term, sgdm_step
-from edgenet.pruning import SparsitySchedule, SwdConfig, compute_masks
+from edgenet.pruning import compute_masks
 from edgenet.synthetic import make_synthetic
 
 
@@ -29,29 +30,23 @@ def separable_data(n=200):
     return DatasetSplit(features=x, labels=y, row_ids=np.arange(len(y)))
 
 
-def make_ctx(seed, mu=1e-4, clip=5.0, swd=None, sched=None, **phases):
-    """Context with the trainer's default hyperparameters, the phase configs
-    ``phases`` (e.g. ``dense=PhaseConfig(...)``), the sparsity ramp ``sched``
-    and two PRNG streams spawned from ``seed``; no validation data."""
-    ramp = {}
-    if sched is not None:
-        assert sched.epochs == phases["sparse"].epochs
-        ramp = dict(sparsity_initial=sched.initial, sparsity_final=sched.final)
-    cfg = TrainerConfig(swd=swd or SwdConfig(mu=mu), grad_clip_norm=clip, **ramp, **phases)
+def make_ctx(seed, clip=5.0, pruning=Pruning(), **phases):
+    """Context with the default run config but for the clipping norm, the
+    pruning section and the phase settings ``phases`` (e.g.
+    ``dense=Phase(...)``), and two PRNG streams spawned from ``seed``; no
+    validation data."""
+    cfg = RunConfig(phases=replace(Phases(), **phases), pruning=pruning, grad_clip_norm=clip)
     drop_ss, shuf_ss = np.random.SeedSequence(seed).spawn(2)
     return TrainContext(cfg=cfg, val=None, dropout_rng=np.random.default_rng(drop_ss),
                         shuffle_rng=np.random.default_rng(shuf_ss))
 
 
-def small_cfg(**overrides):
-    base = dict(
-        arch=ArchConfig(n_layers=2, hidden_size=8),
-        dense=PhaseConfig(learning_rate=0.1, epochs=4, batch_size=64),
-        sparse=PhaseConfig(learning_rate=0.01, epochs=4, batch_size=64),
-        redense=PhaseConfig(learning_rate=0.001, epochs=3, batch_size=64),
-    )
-    base.update(overrides)
-    return TrainerConfig(**base)
+def small_cfg(seed, early_stop=EarlyStop(), **phases):
+    base = dict(dense=Phase(learning_rate=0.1, epochs=4, batch_size=64),
+                sparse=Phase(learning_rate=0.01, epochs=4, batch_size=64),
+                redense=Phase(learning_rate=0.001, epochs=3, batch_size=64))
+    return RunConfig(seed=seed, architecture=Architecture(layers=2, hidden=8),
+                     phases=Phases(**{**base, **phases}), early_stop=early_stop)
 
 
 class TestHelpers:
@@ -67,13 +62,13 @@ class TestHelpers:
 
     def test_phase_config_validation(self):
         with pytest.raises(ConfigError):
-            PhaseConfig(learning_rate=-0.1, epochs=1)
+            Phase(learning_rate=-0.1, epochs=1)
         with pytest.raises(ConfigError):
-            PhaseConfig(learning_rate=0.1, epochs=0)
+            Phase(learning_rate=0.1, epochs=0)
 
     def test_early_stop_validation(self):
         with pytest.raises(ConfigError):
-            EarlyStopPolicy(patience=0)
+            EarlyStop(patience=0)
 
 
 class TestDensePhase:
@@ -81,7 +76,7 @@ class TestDensePhase:
         tr, va, te = toy_data()
         net = init_params((10, 8), seed=1, dropout_rate=0.1)
         before = net.copy()
-        ctx = make_ctx(3, dense=PhaseConfig(learning_rate=0.0, epochs=2, batch_size=64))
+        ctx = make_ctx(3, dense=Phase(learning_rate=0.0, epochs=2, batch_size=64))
         _run_phase(net, tr, ctx, PHASE_DENSE)
         for name, arr in before.tensors().items():
             np.testing.assert_array_equal(net.tensors()[name], arr)
@@ -90,9 +85,9 @@ class TestDensePhase:
         tr, _, _ = toy_data(n=80)
         net = init_params((10, 8), seed=2, dropout_rate=0.1)
         start = net.copy()
-        cfg = PhaseConfig(learning_rate=0.05, epochs=1, batch_size=10_000)
-        mu = 1e-4
-        _run_phase(net, tr, make_ctx(9, mu=mu, clip=None, dense=cfg), PHASE_DENSE)
+        cfg = Phase(learning_rate=0.05, epochs=1, batch_size=10_000)
+        mu = Pruning().mu
+        _run_phase(net, tr, make_ctx(9, clip=None, dense=cfg), PHASE_DENSE)
         # identical PRNG streams reproduce the exact batch order and masks
         ctx2 = make_ctx(9)
         order = ctx2.shuffle_rng.permutation(len(tr))
@@ -110,7 +105,7 @@ class TestDensePhase:
     def test_loss_strictly_decreases_on_separable_data(self):
         data = separable_data()
         net = init_params((2, 8, 8), seed=4, dropout_rate=0.0)
-        ctx = make_ctx(1, dense=PhaseConfig(learning_rate=0.1, epochs=5, batch_size=10_000))
+        ctx = make_ctx(1, dense=Phase(learning_rate=0.1, epochs=5, batch_size=10_000))
         _run_phase(net, data, ctx, PHASE_DENSE)
         losses = [r.train_loss for r in ctx.records]
         assert len(losses) == 5
@@ -129,7 +124,7 @@ class TestDensePhase:
             return original(self, tree)
 
         monkeypatch.setattr(NetworkParams, "with_tensors", counted)
-        ctx = make_ctx(3, dense=PhaseConfig(learning_rate=0.1, epochs=2, batch_size=64))
+        ctx = make_ctx(3, dense=Phase(learning_rate=0.1, epochs=2, batch_size=64))
         _run_phase(net, tr, ctx, PHASE_DENSE)
         assert rebuilds == []
         assert net.layers[0].w is stacked and not np.array_equal(stacked, before)
@@ -139,8 +134,7 @@ class TestSparsePhase:
     def test_survivor_counts_and_bitwise_zeros(self):
         tr, va, _ = toy_data()
         net = init_params((10, 8, 8), seed=5, dropout_rate=0.1)
-        sched = SparsitySchedule(initial=0.25, final=0.8, epochs=4)
-        ctx = make_ctx(11, sched=sched, sparse=PhaseConfig(0.01, 4, 64))
+        ctx = make_ctx(11, sparse=Phase(0.01, 4, 64))
         mask = _run_phase(net, tr, ctx, PHASE_SPARSE)
         assert ctx.mask_violations == 0
         for name, m in mask.masks.items():
@@ -154,8 +148,8 @@ class TestSparsePhase:
     def test_mu_zero_constant_schedule_has_no_twd(self):
         tr, _, _ = toy_data()
         net = init_params((10, 8), seed=6, dropout_rate=0.1)
-        sched = SparsitySchedule(initial=0.5, final=0.5, epochs=3)
-        ctx = make_ctx(2, swd=SwdConfig(mu=0.0), sched=sched, sparse=PhaseConfig(0.01, 3, 64))
+        pruning = Pruning(initial_sparsity=0.5, final_sparsity=0.5, mu=0.0)
+        ctx = make_ctx(2, pruning=pruning, sparse=Phase(0.01, 3, 64))
         _run_phase(net, tr, ctx, PHASE_SPARSE)
         assert all(r.a_twd == 0.0 for r in ctx.records)
         assert all(r.a > 0.0 for r in ctx.records)  # a still advances
@@ -163,8 +157,7 @@ class TestSparsePhase:
     def test_sparsity_column_follows_ramp(self):
         tr, _, _ = toy_data()
         net = init_params((10, 8), seed=6, dropout_rate=0.1)
-        sched = SparsitySchedule(initial=0.25, final=0.8, epochs=4)
-        ctx = make_ctx(2, sched=sched, sparse=PhaseConfig(0.01, 4, 64))
+        ctx = make_ctx(2, sparse=Phase(0.01, 4, 64))
         _run_phase(net, tr, ctx, PHASE_SPARSE)
         ramps = [r.sparsity for r in ctx.records]
         np.testing.assert_allclose(ramps, [0.25, 0.25 + 0.55 / 3,
@@ -183,9 +176,8 @@ class TestReductionOrder:
                           tied_output_gate=True)
         start = net.copy()
         lr, mu, clip, sparsity = 20.0, 1e-3, 1e-3, 0.5
-        swd = SwdConfig(a0=0.05, mu=mu)
-        ctx = make_ctx(17, clip=clip, swd=swd, sched=SparsitySchedule(sparsity, sparsity, 1),
-                       sparse=PhaseConfig(lr, 1, 10_000))
+        swd = Pruning(initial_sparsity=sparsity, final_sparsity=sparsity, a0=0.05, mu=mu)
+        ctx = make_ctx(17, clip=clip, pruning=swd, sparse=Phase(lr, 1, 10_000))
         mask = _run_phase(net, tr, ctx, PHASE_SPARSE)
 
         theta = start.tensors()
@@ -242,9 +234,8 @@ class TestRedensePhase:
     def test_pruned_weights_resume_from_zero(self):
         tr, _, _ = toy_data()
         net = init_params((10, 8), seed=7, dropout_rate=0.1)
-        sched = SparsitySchedule(initial=0.6, final=0.6, epochs=2)
-        ctx = make_ctx(3, sched=sched, sparse=PhaseConfig(0.01, 2, 64),
-                       redense=PhaseConfig(0.001, 2, 64))
+        ctx = make_ctx(3, pruning=Pruning(initial_sparsity=0.6, final_sparsity=0.6),
+                       sparse=Phase(0.01, 2, 64), redense=Phase(0.001, 2, 64))
         mask = _run_phase(net, tr, ctx, PHASE_SPARSE)
         sparse_net = net.copy()
         _run_phase(net, tr, ctx, PHASE_REDENSE, frozen_mask=mask)
@@ -259,9 +250,8 @@ class TestRedensePhase:
     def test_reports_frozen_mask_sparsity(self):
         tr, _, _ = toy_data()
         net = init_params((10, 8), seed=7, dropout_rate=0.1)
-        sched = SparsitySchedule(initial=0.6, final=0.6, epochs=2)
-        ctx = make_ctx(3, sched=sched, sparse=PhaseConfig(0.01, 2, 64),
-                       redense=PhaseConfig(0.001, 2, 64))
+        ctx = make_ctx(3, pruning=Pruning(initial_sparsity=0.6, final_sparsity=0.6),
+                       sparse=Phase(0.01, 2, 64), redense=Phase(0.001, 2, 64))
         mask = _run_phase(net, tr, ctx, PHASE_SPARSE)
         n_before = len(ctx.records)
         _run_phase(net, tr, ctx, PHASE_REDENSE, frozen_mask=mask)
@@ -273,24 +263,23 @@ class TestRedensePhase:
 class TestTrainDsd:
     def test_deterministic_repeat(self):
         tr, va, _ = toy_data()
-        cfg = small_cfg()
-        net1, run1 = train_dsd(cfg, tr, va, seed=21)
-        net2, run2 = train_dsd(cfg, tr, va, seed=21)
+        cfg = small_cfg(seed=21)
+        net1, run1 = train_dsd(cfg, tr, va)
+        net2, run2 = train_dsd(cfg, tr, va)
         for name, arr in net1.tensors().items():
             np.testing.assert_array_equal(net2.tensors()[name], arr)
         assert run1.csv() == run2.csv()
 
     def test_different_seed_differs(self):
         tr, va, _ = toy_data()
-        cfg = small_cfg()
-        net1, _ = train_dsd(cfg, tr, va, seed=21)
-        net2, _ = train_dsd(cfg, tr, va, seed=22)
+        net1, _ = train_dsd(small_cfg(seed=21), tr, va)
+        net2, _ = train_dsd(small_cfg(seed=22), tr, va)
         assert any(not np.array_equal(net1.tensors()[n], net2.tensors()[n])
                    for n in net1.tensors())
 
     def test_phase_sequence_and_decomposition(self):
         tr, va, _ = toy_data()
-        net, run = train_dsd(small_cfg(), tr, va, seed=8)
+        net, run = train_dsd(small_cfg(seed=8), tr, va)
         phases = [r.phase for r in run.records]
         assert phases == ["dense"] * 4 + ["sparse"] * 4 + ["redense"] * 3
         for r in run.records:
@@ -303,7 +292,7 @@ class TestTrainDsd:
 
     def test_csv_header_and_rows(self):
         tr, va, _ = toy_data()
-        _, run = train_dsd(small_cfg(), tr, va, seed=8)
+        _, run = train_dsd(small_cfg(seed=8), tr, va)
         lines = run.csv().strip().split("\n")
         assert lines[0] == "epoch,phase,train_loss,err,wd,a_twd,val_loss,val_auc,sparsity,a"
         assert len(lines) == len(run.records) + 1
@@ -311,13 +300,13 @@ class TestTrainDsd:
     def test_early_stop_cuts_phase_and_restores_best(self):
         tr, va, _ = toy_data(n=400)
         cfg = small_cfg(
-            dense=PhaseConfig(learning_rate=0.1, epochs=40, batch_size=64),
-            sparse=PhaseConfig(learning_rate=0.01, epochs=2, batch_size=64),
-            redense=PhaseConfig(learning_rate=0.001, epochs=25, batch_size=64),
-            early_stop=EarlyStopPolicy(patience=2, dense=True, sparse=False,
-                                       redense=True),
+            seed=3,
+            dense=Phase(learning_rate=0.1, epochs=40, batch_size=64),
+            sparse=Phase(learning_rate=0.01, epochs=2, batch_size=64),
+            redense=Phase(learning_rate=0.001, epochs=25, batch_size=64),
+            early_stop=EarlyStop(patience=2, dense=True, sparse=False, redense=True),
         )
-        net, run = train_dsd(cfg, tr, va, seed=3)
+        net, run = train_dsd(cfg, tr, va)
         n_dense = sum(r.phase == "dense" for r in run.records)
         n_redense = sum(r.phase == "redense" for r in run.records)
         assert n_dense < 40 or n_redense < 25  # some phase stopped early
@@ -329,7 +318,7 @@ class TestTrainDsd:
 
     def test_snapshots_present(self):
         tr, va, _ = toy_data()
-        net, run = train_dsd(small_cfg(), tr, va, seed=4)
+        net, run = train_dsd(small_cfg(seed=4), tr, va)
         assert run.dense_params is not None
         assert run.sparse_params is not None
         assert run.final_mask is not None
@@ -342,13 +331,13 @@ class TestTrainDsd:
         tr, va, _ = toy_data()
         # one step at this rate sends weights ~1e200, so the squared penalty
         # overflows to inf on the next batch
-        cfg = small_cfg(dense=PhaseConfig(learning_rate=1e200, epochs=2, batch_size=64))
+        cfg = small_cfg(seed=1, dense=Phase(learning_rate=1e200, epochs=2, batch_size=64))
         with np.errstate(over="ignore"), pytest.raises(NonFiniteLoss):
-            train_dsd(cfg, tr, va, seed=1)
+            train_dsd(cfg, tr, va)
 
     def test_empty_split_rejected(self):
         tr, va, _ = toy_data()
         empty = DatasetSplit(features=np.zeros((0, 10)), labels=np.zeros(0, dtype=int),
                              row_ids=np.zeros(0, dtype=int))
         with pytest.raises(ConfigError):
-            train_dsd(small_cfg(), empty, va, seed=0)
+            train_dsd(small_cfg(seed=0), empty, va)

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgenet.config import Pruning
 from edgenet.errors import ConfigError, DimensionMismatch, EmptyTensor, EpochOutOfRange
 from edgenet.lstm_net import init_params
-from edgenet.pruning import (SparsitySchedule, SwdConfig, apply_mask,
-                             compute_mask, compute_masks,
+from edgenet.pruning import (apply_mask, compute_mask, compute_masks,
                              schedule_a, schedule_sparsity, select_swd_subset,
                              total_weight_decay)
 
@@ -200,29 +200,29 @@ class TestTotalWeightDecay:
 
 class TestSchedules:
     def test_ramp_endpoints(self):
-        sched = SparsitySchedule(initial=0.25, final=0.8, epochs=10)
-        assert schedule_sparsity(0, sched) == pytest.approx(0.25)
-        assert schedule_sparsity(9, sched) == pytest.approx(0.80)
+        ramp = Pruning(initial_sparsity=0.25, final_sparsity=0.8)
+        assert schedule_sparsity(0, ramp, 10) == pytest.approx(0.25)
+        assert schedule_sparsity(9, ramp, 10) == pytest.approx(0.80)
 
     def test_ramp_interior(self):
-        sched = SparsitySchedule(initial=0.25, final=0.8, epochs=10)
-        assert schedule_sparsity(4, sched) == pytest.approx(0.25 + 0.55 * 4 / 9)
+        ramp = Pruning(initial_sparsity=0.25, final_sparsity=0.8)
+        assert schedule_sparsity(4, ramp, 10) == pytest.approx(0.25 + 0.55 * 4 / 9)
 
     def test_single_epoch_jumps_to_final(self):
-        assert schedule_sparsity(0, SparsitySchedule(0.25, 0.8, 1)) == pytest.approx(0.8)
+        assert schedule_sparsity(0, Pruning(final_sparsity=0.8), 1) == pytest.approx(0.8)
 
     def test_epoch_out_of_range(self):
         with pytest.raises(EpochOutOfRange):
-            schedule_sparsity(10, SparsitySchedule(0.25, 0.8, 10))
+            schedule_sparsity(10, Pruning(), 10)
 
     def test_a_growth(self):
-        cfg = SwdConfig(a0=0.001, a_growth=1.2, target_threshold=0.5)
+        cfg = Pruning(a0=0.001, a_growth=1.2, target_threshold=0.5)
         assert schedule_a(0, cfg) == pytest.approx(0.001)
         assert schedule_a(1, cfg) == pytest.approx(0.0012)
         assert schedule_a(500, cfg) == pytest.approx(0.5)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            SwdConfig(a0=0.0)
+            Pruning(a0=0.0)
         with pytest.raises(ConfigError):
-            SparsitySchedule(initial=0.5, final=0.4, epochs=3)
+            Pruning(initial_sparsity=0.5, final_sparsity=0.4)
