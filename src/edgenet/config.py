@@ -141,6 +141,10 @@ class RunConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.grad_clip_norm is not None and self.grad_clip_norm <= 0.0:
             raise ConfigError("grad_clip_norm must be positive or null")
+        seq_len = self.architecture.seq_len
+        if self.schema is not None and len(self.schema.selected_features) % seq_len:
+            raise ConfigError(f"{len(self.schema.selected_features)} selected features "
+                              f"not divisible by architecture.seq_len {seq_len}")
 
 
 def _typed(value, default, name: str):

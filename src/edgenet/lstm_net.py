@@ -8,6 +8,16 @@ the output gate reuses the candidate's pre-activation (z = sigmoid of what j
 takes tanh of) and the o block goes unused; the default gives the output
 gate its own rows.
 
+Every sequence starts from the zero state h_prev = c_prev = 0, so its first
+step (t = 0, and at the default ``seq_len`` 1 the only step) is computed
+without the forget gate, which multiplies c_prev, and without the recurrent
+columns W[:, :H], which multiply h_prev: the step is
+``x_0 @ W[H:, H:].T + b[H:]`` into a [B, 3H] gate array (i, j, o), and its
+cache holds that array and no h_prev or c_prev. Backward at t = 0 likewise
+touches only rows i, j, o and the input columns, so the f rows and W[:, :H]
+get an exactly zero loss gradient from that step (at ``seq_len`` 1 only L2
+and SWD move them). Steps t >= 1 use the full [4H] gate array.
+
 ``NetworkParams.tensors()`` views each gate block as ``layer{i}.w_{gate}``
 and ``layer{i}.b_{gate}``, then ``head.w``, ``head.b``: the names containers,
 masks and the quantizer store. ``NetworkParams.rows()``, which training runs
@@ -179,9 +189,9 @@ def init_params(layer_sizes, seed: int, dropout_rate: float = 0.1,
 @dataclass
 class LayerCache:
     inputs: list = field(default_factory=list)    # x_t after lower dropout, (B, D)
-    h_prev: list = field(default_factory=list)    # (B, H); undropped recurrence
+    h_prev: list = field(default_factory=list)    # (B, H); undropped recurrence, None at t = 0
     c_prev: list = field(default_factory=list)
-    gates: list = field(default_factory=list)     # activated f, i, j, z blocks, (B, 4H)
+    gates: list = field(default_factory=list)     # activated f, i, j, z (B, 4H); i, j, z (B, 3H) at t = 0
     tanh_c: list = field(default_factory=list)
     out_scale: list = field(default_factory=list)  # inverted-dropout mask or None
 
@@ -207,19 +217,32 @@ def _gate_scale(hdim: int) -> np.ndarray:
 
 def _cell_math(layer: LstmLayerParams, x_t, h_prev, c_prev, tied: bool):
     """One step for a batch. Returns (h, c, gates, tanh_c) with ``gates`` the
-    activated [B, 4H] array: blocks f, i, j and the output gate z."""
+    activated [B, 4H] array: blocks f, i, j and the output gate z.
+
+    ``h_prev = c_prev = None`` is the zero state of a sequence's first step:
+    the forget gate multiplies c_prev = 0 and the recurrent columns W[:, :H]
+    multiply h_prev = 0, so only the i, j and o rows are computed, from the
+    input columns, and ``gates`` is [B, 3H] with blocks i, j, z.
+    """
     hdim = layer.hidden_size
     s = _gate_scale(hdim)
-    gates = np.concatenate([h_prev, x_t], axis=1) @ layer.w.T
-    gates += layer.b
+    if h_prev is None:
+        s = s[hdim:]
+        gates = x_t @ layer.w[hdim:, hdim:].T
+        gates += layer.b[hdim:]
+    else:
+        gates = np.concatenate([h_prev, x_t], axis=1) @ layer.w.T
+        gates += layer.b
     if tied:
-        gates[:, 3 * hdim:] = gates[:, 2 * hdim:3 * hdim]
+        gates[:, -hdim:] = gates[:, -2 * hdim:-hdim]
     gates *= s
     np.tanh(gates, out=gates)
     gates *= s
     gates += 1.0 - s
-    f, i, j, z = (gates[:, k * hdim:(k + 1) * hdim] for k in range(4))
-    c = f * c_prev + i * j
+    i, j, z = np.split(gates[:, -3 * hdim:], 3, axis=1)
+    c = i * j
+    # f * c_prev + i * j; on the zero state + 0.0 still turns -0 into +0.
+    c += 0.0 if c_prev is None else gates[:, :hdim] * c_prev
     tanh_c = np.tanh(c)
     return z * tanh_c, c, gates, tanh_c
 
@@ -249,8 +272,7 @@ def forward_batch(net: NetworkParams, x: np.ndarray, mode: str = "eval",
     for layer in net.layers:
         lc = LayerCache()
         hdim = layer.hidden_size
-        h = np.zeros((batch, hdim))
-        c = np.zeros((batch, hdim))
+        h = c = None  # zero state
         outs = []
         for t in range(seq_len):
             inp = cur[t]
@@ -297,7 +319,7 @@ def backward(net: NetworkParams, cache: ForwardCache, y) -> NetworkParams:
     if len(cache.layers) != len(net.layers) or cache.tied != net.tied_output_gate:
         raise CacheMismatch("cache does not match the network architecture")
     for lc, layer in zip(cache.layers, net.layers):
-        if lc.h_prev[0].shape[1] != layer.hidden_size:
+        if lc.tanh_c[0].shape[1] != layer.hidden_size:
             raise CacheMismatch("cache hidden sizes do not match the network")
 
     batch = cache.batch_size
@@ -325,7 +347,6 @@ def backward(net: NetworkParams, cache: ForwardCache, y) -> NetworkParams:
     for idx in range(len(net.layers) - 1, -1, -1):
         layer, lc, g_layer = net.layers[idx], cache.layers[idx], grads.layers[idx]
         hdim = layer.hidden_size
-        f_, i_, j_, o_ = (slice(k * hdim, (k + 1) * hdim) for k in range(4))
         d_inputs = [None] * seq_len
         dh_rec = np.zeros((batch, hdim))
         dc_next = np.zeros((batch, hdim))
@@ -333,14 +354,22 @@ def backward(net: NetworkParams, cache: ForwardCache, y) -> NetworkParams:
             scale = lc.out_scale[t]
             dh = (d_out[t] * scale if scale is not None else d_out[t]) + dh_rec
             gates, tanh_c = lc.gates[t], lc.tanh_c[t]
+            # H at t = 0, whose zero state reached only rows i, j, o through
+            # the input columns: f and W[:, :H] get no loss gradient there.
+            skip = 4 * hdim - gates.shape[1]
+            i_, j_, o_ = (slice(k * hdim - skip, (k + 1) * hdim - skip) for k in (1, 2, 3))
             dc = dc_next + dh * gates[:, o_] * (1.0 - tanh_c * tanh_c)
             # d(loss)/d(gate activation), then through sigmoid or tanh
             d_pre = np.empty_like(gates)
-            d_pre[:, f_] = dc * lc.c_prev[t]
             d_pre[:, i_] = dc * gates[:, j_]
             d_pre[:, j_] = dc * gates[:, i_]
             d_pre[:, o_] = dh * tanh_c
-            dc_next = dc * gates[:, f_]
+            if t:
+                d_pre[:, :hdim] = dc * lc.c_prev[t]
+                dc_next = dc * gates[:, :hdim]
+                step_in = np.concatenate([lc.h_prev[t], lc.inputs[t]], axis=1)
+            else:
+                step_in = lc.inputs[0]
             slope = gates * (1.0 - gates)
             slope[:, j_] = 1.0 - gates[:, j_] * gates[:, j_]
             d_pre *= slope
@@ -348,12 +377,10 @@ def backward(net: NetworkParams, cache: ForwardCache, y) -> NetworkParams:
                 # z shares the j pre-activation; the o block stays unused.
                 d_pre[:, j_] += d_pre[:, o_]
                 d_pre[:, o_] = 0.0
-            concat = np.concatenate([lc.h_prev[t], lc.inputs[t]], axis=1)
-            g_layer.w += d_pre.T @ concat
-            g_layer.b += d_pre.sum(axis=0)
-            d_concat = d_pre @ layer.w
-            dh_rec = d_concat[:, :hdim]
-            d_inputs[t] = d_concat[:, hdim:]
+            g_layer.w[skip:, skip:] += d_pre.T @ step_in
+            g_layer.b[skip:] += d_pre.sum(axis=0)
+            d_step_in = d_pre @ layer.w[skip:, skip:]
+            dh_rec, d_inputs[t] = d_step_in[:, :hdim - skip], d_step_in[:, hdim - skip:]
         d_out = d_inputs
     return grads
 

@@ -211,6 +211,8 @@ def _read_container(path: str) -> tuple[dict, list[TensorRecord]]:
         records.append(TensorRecord(name=name, dtype=dtype, encoding=encoding, shape=shape,
                                     payload=payload, crc_ok=zlib.crc32(payload) == crc,
                                     scale=scale, zero_point=zero_point))
+    if rd.off != len(rd.buf):
+        raise StoreError(f"{path}: {len(rd.buf) - rd.off} bytes after the last record")
     if len({r.name for r in records}) != len(records):
         raise StoreError("duplicate tensor names in container")
     return arch, records

@@ -349,6 +349,21 @@ class TestConfigTypes:
         assert "ConfigError" in err and name in err
         assert not os.path.exists(tmp / "out")
 
+    def test_seq_len_must_divide_the_selected_features(self, workdir, capsys):
+        tmp, cfg, csv = workdir
+        doc = json.loads(open(cfg).read())
+        doc["architecture"]["seq_len"] = 3  # 10 selected features
+        bad_cfg = tmp / "bad.json"
+        bad_cfg.write_text(json.dumps(doc), encoding="utf-8")
+        rc = main(["preprocess", "--config", str(bad_cfg), "--csv", csv,
+                   "--out", str(tmp / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "10 selected features" in err and "seq_len 3" in err
+        assert not os.path.exists(tmp / "out")
+        doc["architecture"]["seq_len"] = 5
+        assert config_from_dict(doc).architecture.seq_len == 5
+
     def test_null_clip_norm_turns_clipping_off(self):
         doc = config_dict()
         doc["grad_clip_norm"] = None

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from edgenet.config import Phase, Phases, RunConfig
+from edgenet.data_pipeline import DatasetSplit
+from edgenet.dsd_trainer import PHASE_DENSE, TrainContext, _run_phase
 from edgenet.lstm_net import backward, forward_batch, init_params
+from edgenet.optimizer import l2_term
 
 from oracles import finite_difference_gradients, gradient_agreement
 
@@ -23,6 +27,11 @@ def check_net(seed: int, layer_sizes, seq_len: int, dropout: float,
     worst, ok, _ = gradient_agreement(analytic, numeric)
     assert ok, f"worst relative error {worst:.3e} for seed {seed}"
     return worst
+
+
+@pytest.mark.parametrize("tied,dropout", [(False, 0.0), (True, 0.0), (False, 0.37)])
+def test_zero_state_step_alone_at_seq_len_1(tied, dropout):
+    check_net(61, (3, 4, 4), seq_len=1, dropout=dropout, tied=tied, batch=3)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -56,3 +65,33 @@ def test_tied_output_gate_leaves_w_o_gradient_zero():
     grads = backward(net, cache, np.array([1.0, 0.0])).tensors()
     np.testing.assert_array_equal(grads["layer0.w_o"], np.zeros_like(grads["layer0.w_o"]))
     np.testing.assert_array_equal(grads["layer0.b_o"], np.zeros_like(grads["layer0.b_o"]))
+
+
+def test_seq_len_1_moves_forget_gate_and_recurrent_columns_by_l2_alone():
+    rng = np.random.default_rng(43)
+    net = init_params((3, 4, 4), seed=43, dropout_rate=0.2)
+    x = rng.random((5, 3))
+    y = rng.integers(0, 2, size=5)
+    _, cache = forward_batch(net, x[:, None, :], mode="train", rng=np.random.default_rng(1))
+    grads = backward(net, cache, y)
+    for g, layer in zip(grads.layers, net.layers):
+        h = layer.hidden_size
+        assert not np.any(g.w[:h]) and not np.any(g.b[:h]) and not np.any(g.w[:, :h])
+        assert np.all(g.w[h:, h:].any(axis=1))
+
+    # One dense step (one epoch of one batch, no clipping) is plain SGD on the
+    # L2 gradient alone there; biases get no L2, so b_f stays put.
+    before = net.copy()
+    cfg = RunConfig(phases=Phases(dense=Phase(learning_rate=0.05, epochs=1, batch_size=64)),
+                    grad_clip_norm=None)
+    ctx = TrainContext(cfg=cfg, val=None, dropout_rng=np.random.default_rng(2),
+                       shuffle_rng=np.random.default_rng(3))
+    _run_phase(net, DatasetSplit(features=x, labels=y, row_ids=np.arange(5)), ctx, PHASE_DENSE)
+    for old, new in zip(before.layers, net.layers):
+        h = new.hidden_size
+        for rows, cols in ((slice(0, h), slice(None)), (slice(None), slice(0, h))):
+            w0 = old.w[rows, cols]
+            assert np.all(new.w[rows, cols] != w0)
+            np.testing.assert_array_equal(
+                new.w[rows, cols], w0 - 0.05 * l2_term(w0, cfg.pruning.mu)[1])
+        np.testing.assert_array_equal(new.b[:h], old.b[:h])

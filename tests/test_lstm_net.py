@@ -32,9 +32,10 @@ def prob(net, sequence, mode="eval", rng=None):
 
 
 def output_h(layer_cache, t):
-    """h_t of a cached layer: the output gate block times tanh(c_t)."""
+    """h_t of a cached layer: the output gate block, the last H columns of
+    either gate layout, times tanh(c_t)."""
     hdim = layer_cache.tanh_c[t].shape[1]
-    return layer_cache.gates[t][:, 3 * hdim:] * layer_cache.tanh_c[t]
+    return layer_cache.gates[t][:, -hdim:] * layer_cache.tanh_c[t]
 
 
 class TestInit:
@@ -133,6 +134,27 @@ class TestCellForward:
             c_ref = logistic(f) * cp + logistic(i) * np.tanh(j)
             np.testing.assert_allclose(c, c_ref, rtol=1e-13)
             np.testing.assert_allclose(h, logistic(z_pre) * np.tanh(c_ref), rtol=1e-13)
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_zero_state_step_equals_the_general_step_on_zeros(self, tied):
+        rng = np.random.default_rng(2)
+        layer = init_params((5, 6), seed=7).layers[0]
+        layer.b[...] = rng.normal(size=24)
+        x, zeros = rng.normal(size=(3, 5)), np.zeros((3, 6))
+        h0, c0, gates0, tanh_c0 = _cell_math(layer, x, None, None, tied)
+        h, c, gates, tanh_c = _cell_math(layer, x, zeros, zeros, tied)
+        assert gates0.shape == (3, 18) and gates.shape == (3, 24)
+        np.testing.assert_allclose(gates0, gates[:, 6:], rtol=1e-12)  # i, j, z blocks
+        np.testing.assert_allclose(c0, c, rtol=1e-12)
+        np.testing.assert_allclose(h0, h, rtol=1e-12)
+        np.testing.assert_allclose(tanh_c0, tanh_c, rtol=1e-12)
+
+    def test_first_step_caches_no_zero_state(self):
+        net = init_params((2, 3), seed=1, dropout_rate=0.0)
+        _, cache = forward_batch(net, np.ones((4, 2, 2)), mode="train")
+        lc = cache.layers[0]
+        assert lc.h_prev[0] is None and lc.c_prev[0] is None
+        assert [g.shape for g in lc.gates] == [(4, 9), (4, 12)]
 
 
 class TestForward:

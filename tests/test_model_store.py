@@ -340,6 +340,43 @@ class TestHeaderFaults:
         assert sorted(escapes) == []
 
 
+def three_containers(tmp_path) -> dict[str, str]:
+    """Paths of a dense, a sparse and a sparse int8 container of one small net."""
+    net, mask = pruned_net(8)
+    paths = {kind: str(tmp_path / f"{kind}.eidm") for kind in ("dense", "sparse", "sparse_int8")}
+    save_dense(small_net(8), paths["dense"])
+    save_sparse(net, mask, paths["sparse"])
+    save_quantized(quantize_model(net, mask=mask), paths["sparse_int8"])
+    return paths
+
+
+class TestContainerLength:
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "sparse_int8"])
+    def test_trailing_bytes_exit_3(self, tmp_path, capsys, kind):
+        path = three_containers(tmp_path)[kind]
+        load_model(path)
+        with open(path, "ab") as fh:
+            fh.write(b"\x00")
+        for read in (load_model, inspect):
+            with pytest.raises(StoreError, match="1 bytes after the last record"):
+                read(path)
+        assert main(["dump", path]) == 3
+        assert main(["predict", path, "--features", "0.1,0.2,0.3"]) == 3
+        assert capsys.readouterr().err.count("error: ") == 2
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "sparse_int8"])
+    def test_every_truncation_is_a_store_error(self, tmp_path, kind):
+        path = three_containers(tmp_path)[kind]
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        for cut in range(len(blob)):
+            with open(path, "wb") as fh:
+                fh.write(blob[:cut])
+            for read in (load_model, inspect):
+                with pytest.raises(StoreError):
+                    read(path)
+
+
 class TestSizeReport:
     def test_baseline_against_itself(self, tmp_path):
         net = small_net()
