@@ -22,7 +22,7 @@ from . import model_store as store
 from .config import RunConfig, load_config
 from .dsd_trainer import to_sequences, train_dsd
 from .errors import (ConfigError, EdgenetError, EmptySplit, NonFiniteLoss,
-                     SingleClassInput, StoreError)
+                     NonFiniteScore, SingleClassInput, StoreError)
 from .lstm_net import scores as float_scores
 from .metrics import METRICS_CSV_HEADER, confusion, metrics_from_confusion, roc_curve
 from .quantizer import quantize_model, quantized_scores
@@ -103,11 +103,17 @@ def cmd_quantize(model_in: str, model_out: str, cfg: RunConfig) -> int:
 
 
 def _model_scores(loaded: store.LoadedModel, features: np.ndarray) -> np.ndarray:
+    """Scores for every row; a NaN or infinite score is an error, never a label."""
     if loaded.kind == "quantized":
         seq = to_sequences(features, _seq_len_for(loaded.qmodel.layer_sizes[0], features))
-        return quantized_scores(loaded.qmodel, seq)
-    seq = to_sequences(features, _seq_len_for(loaded.params.input_size, features))
-    return float_scores(loaded.params, seq)
+        p = quantized_scores(loaded.qmodel, seq)
+    else:
+        seq = to_sequences(features, _seq_len_for(loaded.params.input_size, features))
+        p = float_scores(loaded.params, seq)
+    bad = np.count_nonzero(~np.isfinite(p))
+    if bad:
+        raise NonFiniteScore(f"the model scored {bad} of {len(p)} rows as NaN or infinite")
+    return p
 
 
 def _seq_len_for(input_dim: int, features: np.ndarray) -> int:

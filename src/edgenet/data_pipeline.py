@@ -325,6 +325,8 @@ def load_dataset(path: str) -> DatasetSplit:
     version, n, f = struct.unpack_from("<HIH", buf, 4)
     if version != DATASET_VERSION:
         raise VersionUnsupported(f"dataset version {version}, expected {DATASET_VERSION}")
+    if f == 0:
+        raise StoreError(f"{path} holds rows with zero features")
     need = n * f * 4 + n
     if len(buf) - off != need:
         raise StoreError(f"dataset payload is {len(buf) - off} bytes, expected {need}")

@@ -28,6 +28,12 @@ on its own gives its gate tensor's result bit for bit.
 Dropout is the inverted kind and is applied to each layer's output stream
 (the values fed upward to the next layer or the head), not to the in-layer
 recurrence. Training math is float64 end to end.
+
+Only a train-mode forward records the per-step cache that ``backward`` reads
+(inputs, h_prev, c_prev, gates, tanh_c and dropout scales for every layer and
+step). Eval mode, which every scoring path uses, records none of it and drops
+each step's input once the step has used it, so it never holds more than one
+layer's output sequence plus the step in flight.
 """
 
 from __future__ import annotations
@@ -200,7 +206,7 @@ class LayerCache:
 class ForwardCache:
     mode: str
     tied: bool
-    layers: list[LayerCache]
+    layers: list[LayerCache]  # one per layer in train mode, empty in eval mode
     head_input: np.ndarray  # (B, H_last), post-dropout
     p: np.ndarray           # (B,)
     batch_size: int
@@ -253,7 +259,10 @@ def forward_batch(net: NetworkParams, x: np.ndarray, mode: str = "eval",
 
     Initial hidden and cell states are zero. In train mode each layer's
     output stream gets an independent inverted dropout mask per element,
-    drawn from ``rng``.
+    drawn from ``rng``, and the returned cache holds every layer's per-step
+    values for ``backward``. Eval mode records no step cache (its
+    ``ForwardCache.layers`` is empty, which ``backward`` rejects) and drops
+    each layer's input sequence step by step as it is consumed.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -275,22 +284,23 @@ def forward_batch(net: NetworkParams, x: np.ndarray, mode: str = "eval",
         h = c = None  # zero state
         outs = []
         for t in range(seq_len):
-            inp = cur[t]
-            lc.inputs.append(inp)
-            lc.h_prev.append(h)
-            lc.c_prev.append(c)
+            inp, cur[t] = cur[t], None  # the cache, if any, holds the only reference
+            h_prev, c_prev = h, c
             h, c, gates, tanh_c = _cell_math(layer, inp, h, c, net.tied_output_gate)
-            lc.gates.append(gates)
-            lc.tanh_c.append(tanh_c)
+            scale = None
             if rate > 0.0:
                 keep = (rng.random((batch, hdim)) >= rate)
                 scale = keep / (1.0 - rate)
+            if mode == "train":
+                lc.inputs.append(inp)
+                lc.h_prev.append(h_prev)
+                lc.c_prev.append(c_prev)
+                lc.gates.append(gates)
+                lc.tanh_c.append(tanh_c)
                 lc.out_scale.append(scale)
-                outs.append(h * scale)
-            else:
-                lc.out_scale.append(None)
-                outs.append(h)
-        caches.append(lc)
+            outs.append(h if scale is None else h * scale)
+        if mode == "train":
+            caches.append(lc)
         cur = outs
 
     head_input = cur[-1]

@@ -280,6 +280,56 @@ class TestErrorPaths:
         assert rc == 1
         assert "NonFiniteScore" in capsys.readouterr().err
 
+    def nan_model(self, tmp_path):
+        net = zeros_params((3, 4), dropout_rate=0.0)
+        net.head_b[...] = np.nan
+        model = str(tmp_path / "nan.eidm")
+        save_dense(net, model)
+        return model
+
+    def test_nan_scores_on_single_class_split_exit_1(self, tmp_path, capsys):
+        # ROC is skipped on one class, so only the score check can catch this
+        ds = DatasetSplit(features=np.full((4, 3), 0.5), labels=np.zeros(4, dtype=np.int64),
+                          row_ids=np.arange(4))
+        data = str(tmp_path / "d.eidd")
+        save_dataset(ds, data)
+        out_dir = tmp_path / "eval"
+        rc = main(["evaluate", self.nan_model(tmp_path), data, "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert "NonFiniteScore" in captured.err and "4 of 4 rows" in captured.err
+        assert not out_dir.exists()
+
+    def test_nan_score_predict_exit_1(self, tmp_path, capsys):
+        rc = main(["predict", self.nan_model(tmp_path), "--features", "0.5,0.5,0.5"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert "NonFiniteScore" in captured.err
+
+    def zero_feature_split(self, path):
+        save_dataset(DatasetSplit(features=np.zeros((4, 0)), labels=np.array([0, 1, 0, 1]),
+                                  row_ids=np.arange(4)), str(path))
+
+    def test_zero_feature_dataset_evaluate_exit_3(self, tmp_path, capsys):
+        model = str(tmp_path / "zero.eidm")
+        save_dense(zeros_params((3, 4), dropout_rate=0.0), model)
+        data = tmp_path / "empty.eidd"
+        self.zero_feature_split(data)
+        assert main(["evaluate", model, str(data)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "zero features" in captured.err
+
+    def test_zero_feature_dataset_train_exit_3(self, workdir, capsys):
+        tmp, cfg, _ = workdir
+        data = tmp / "data"
+        data.mkdir()
+        for name in ("train", "val", "test"):
+            self.zero_feature_split(data / f"{name}.eidd")
+        out = tmp / "model"
+        assert main(["train", "--config", cfg, "--data", str(data), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "zero features" in captured.err and not out.exists()
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_features_rejected(self, tmp_path, capsys, bad):
         model = str(tmp_path / "zero.eidm")

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from edgenet.cli import main
 from edgenet.errors import CacheMismatch, ConfigError, DimensionMismatch
 from edgenet.lstm_net import (GATES, LstmLayerParams, NetworkParams, _cell_math,
                               backward, bce_loss, forward_batch, init_params,
-                              is_weight_name, scores, stack_rows, zeros_params)
+                              is_weight_name, scores, sigmoid, stack_rows, zeros_params)
 from edgenet.model_store import save_dense
 
 
@@ -164,11 +165,14 @@ class TestForward:
         assert p == 0.5
 
     def test_train_equals_eval_without_dropout(self):
-        net = init_params((3, 4, 4), seed=9, dropout_rate=0.0)
-        x = np.random.default_rng(1).random((2, 3))
-        p_eval, _ = prob(net, x, mode="eval")
-        p_train, _ = prob(net, x, mode="train", rng=np.random.default_rng(0))
-        assert p_train == pytest.approx(p_eval, abs=0)
+        # bit for bit: eval skips only the cache, not any arithmetic
+        for seq_len in (1, 3):
+            for tied in (False, True):
+                net = init_params((3, 4, 4), seed=9, dropout_rate=0.0, tied_output_gate=tied)
+                x = np.random.default_rng(seq_len).random((5, seq_len, 3))
+                p_eval, _ = forward_batch(net, x, mode="eval")
+                p_train, _ = forward_batch(net, x, mode="train")
+                np.testing.assert_array_equal(p_eval, p_train)
 
     def test_eval_mode_bit_identical(self):
         net = init_params((5, 8), seed=11)
@@ -178,19 +182,36 @@ class TestForward:
         assert p1 == p2
 
     def test_inverted_dropout_mean_matches_eval(self):
-        # Monte-Carlo oracle: E[mask * h / keep] = h
+        # Monte-Carlo oracle: E[mask * h / keep] = h, the undropped output
+        # that eval mode feeds the head
         net = init_params((4, 6), seed=21, dropout_rate=0.3)
         x = np.random.default_rng(3).random((1, 4))
-        _, cache_eval = prob(net, x, mode="eval")
-        h_eval = output_h(cache_eval.layers[0], 0).ravel()
+        p_eval, _ = prob(net, x, mode="eval")
 
         reps = 10_000
         xb = np.repeat(x[None, :, :], reps, axis=0)
         _, cache = forward_batch(net, xb, mode="train", rng=np.random.default_rng(77))
-        dropped = output_h(cache.layers[0], 0) * cache.layers[0].out_scale[0]
+        h = output_h(cache.layers[0], 0)
+        np.testing.assert_array_equal(h, np.broadcast_to(h[0], h.shape))
+        assert float(sigmoid(h[:1] @ net.head_w + net.head_b)[0]) == pytest.approx(
+            p_eval, rel=1e-12)
+        dropped = h * cache.layers[0].out_scale[0]
         mc_mean = dropped.mean(axis=0)
         mc_sem = dropped.std(axis=0) / np.sqrt(reps)
-        np.testing.assert_array_less(np.abs(mc_mean - h_eval), 5 * mc_sem + 1e-12)
+        np.testing.assert_array_less(np.abs(mc_mean - h[0]), 5 * mc_sem + 1e-12)
+
+    def test_eval_forward_peak_memory(self):
+        # The train-mode cache of this batch holds about 240 MB; scoring it
+        # needs one layer's outputs (12 MB) plus one step's gates.
+        net = init_params((7, 32, 32, 32), seed=1)
+        x = np.random.default_rng(2).random((8000, 6, 7))
+        tracemalloc.start()
+        try:
+            forward_batch(net, x, mode="eval")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
     def test_train_mode_without_rng_rejected(self):
         net = init_params((3, 4), seed=0, dropout_rate=0.1)
@@ -245,10 +266,12 @@ class TestBackward:
         assert grads.layer_sizes == net.layer_sizes
 
     def test_eval_cache_rejected(self):
-        net = init_params((3, 4), seed=0, dropout_rate=0.0)
-        _, cache = forward_batch(net, np.zeros((1, 1, 3)), mode="eval")
+        # eval mode records no step cache at all
+        net = init_params((3, 4, 4), seed=0, dropout_rate=0.0)
+        p, cache = forward_batch(net, np.zeros((2, 3, 3)), mode="eval")
+        assert cache.mode == "eval" and cache.layers == [] and cache.p is p
         with pytest.raises(CacheMismatch):
-            backward(net, cache, np.array([1.0]))
+            backward(net, cache, np.array([1.0, 0.0]))
 
     def test_architecture_mismatch_rejected(self):
         net = init_params((3, 4), seed=0, dropout_rate=0.0)
