@@ -35,13 +35,6 @@ EXIT_DIVERGED = 4
 SPLIT_FILES = {"train": "train.eidd", "val": "val.eidd", "test": "test.eidd"}
 
 
-def _write_text(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def cmd_preprocess(cfg: RunConfig, csv_in: str, out_dir: str) -> int:
     if cfg.schema is None:
         raise ConfigError("preprocess needs a config with a 'schema' section")
@@ -77,7 +70,7 @@ def cmd_train(cfg: RunConfig, data_dir: str, out_dir: str) -> int:
     store.save_sparse(run.sparse_params, run.final_mask,
                       os.path.join(out_dir, "pruned.eidm"))
     store.save_dense(net, os.path.join(out_dir, "baseline.eidm"))
-    _write_text(os.path.join(out_dir, "run.csv"), run.csv())
+    dp.write_atomic(os.path.join(out_dir, "run.csv"), run.csv().encode("utf-8"))
 
     last = run.records[-1]
     print(f"trained {len(run.records)} epochs; final val_auc={last.val_auc:.6f} "
@@ -144,25 +137,32 @@ def cmd_evaluate(model_path: str, data_path: str, threshold: float,
 
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        _write_text(os.path.join(out_dir, "metrics.csv"), metrics_text)
+        dp.write_atomic(os.path.join(out_dir, "metrics.csv"), metrics_text.encode("utf-8"))
         if roc_text is not None:
-            _write_text(os.path.join(out_dir, "roc.csv"), roc_text)
+            dp.write_atomic(os.path.join(out_dir, "roc.csv"), roc_text.encode("utf-8"))
     return EXIT_OK
 
 
 def cmd_size_report(baseline: str, others: list[str], evals: dict[str, str],
                     out_file: str | None) -> int:
-    accuracies = {}
-    for name, csv_path in evals.items():
-        accuracies[name] = _accuracy_from_metrics_csv(csv_path)
-    report = store.size_report(others, baseline, accuracies=accuracies)
-    unmatched = sorted(set(evals) - {row.name for row in report.rows})
+    accuracies = {name: _accuracy_from_metrics_csv(path) for name, path in evals.items()}
+    paths = [baseline] + [p for p in others if os.path.abspath(p) != os.path.abspath(baseline)]
+    for path in paths:
+        store.inspect(path)  # StoreError unless a model container
+    names = [os.path.splitext(os.path.basename(p))[0] for p in paths]
+    unmatched = sorted(set(evals) - set(names))
     if unmatched:
         raise ConfigError(f"--eval names no model in the report: {', '.join(unmatched)}")
-    text = report.csv()
+    base_size = os.path.getsize(baseline)
+    lines = ["name,accuracy,size_bytes,ratio"]
+    for name, path in zip(names, paths):
+        size = os.path.getsize(path)
+        acc = f"{100.0 * accuracies[name]:.4f}" if name in accuracies else ""
+        lines.append(f"{name},{acc},{size},{base_size / size:.4f}")
+    text = "\n".join(lines) + "\n"
     print(text, end="")
     if out_file:
-        _write_text(out_file, text)
+        dp.write_atomic(out_file, text.encode("utf-8"))
     return EXIT_OK
 
 

@@ -191,14 +191,6 @@ class EncodingMap:
             raise UnknownCategory(str(values[int((codes < 0).argmax())]), column)
         return codes
 
-    def to_json(self) -> dict:
-        return {col: dict(mapping) for col, mapping in self.codes.items()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "EncodingMap":
-        return cls(codes={col: {k: int(v) for k, v in mapping.items()}
-                          for col, mapping in obj.items()})
-
 
 @dataclass
 class NormStats:
@@ -206,15 +198,11 @@ class NormStats:
 
     stats: dict[str, tuple[float, float]] = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {col: [mn, mx] for col, (mn, mx) in self.stats.items()}
-
 
 @dataclass
 class DatasetSplit:
     features: np.ndarray  # (n, n_features) float64 in [0, 1]
     labels: np.ndarray    # (n,) int, values {0, 1}
-    row_ids: np.ndarray   # original row indices
 
     def __post_init__(self):
         if self.features.shape[0] != self.labels.shape[0]:
@@ -276,8 +264,7 @@ def apply_transform(table: RawTable, schema: FeatureSchema, enc: EncodingMap,
             # far past a tiny range the quotient overflows to inf and clamps to 1
             with np.errstate(over="ignore"):
                 feats[:, j] = np.clip((x - mn) / (mx - mn), 0.0, 1.0)
-    return DatasetSplit(features=feats, labels=table.arrays[schema.label_column][rows],
-                        row_ids=rows)
+    return DatasetSplit(features=feats, labels=table.arrays[schema.label_column][rows])
 
 
 def check_ratios(ratios) -> tuple[float, float, float]:
@@ -302,16 +289,21 @@ def split_indices(n_rows: int, ratios, seed: int):
 
 # --- binary dataset file + JSON sidecar ---
 
+def write_atomic(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path + ".tmp"`` and rename it over ``path``, so
+    readers never see a partial file."""
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
+
+
 def save_dataset(ds: DatasetSplit, path: str) -> None:
     """EIDD container: header, row-major float32 features, u8 labels."""
     n, f = ds.features.shape
-    blob = (DATASET_MAGIC + struct.pack("<HIH", DATASET_VERSION, n, f)
-            + ds.features.astype("<f4").tobytes()
-            + ds.labels.astype(np.uint8).tobytes())
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+    write_atomic(path, DATASET_MAGIC + struct.pack("<HIH", DATASET_VERSION, n, f)
+                 + ds.features.astype("<f4").tobytes()
+                 + ds.labels.astype(np.uint8).tobytes())
 
 
 def load_dataset(path: str) -> DatasetSplit:
@@ -337,16 +329,11 @@ def load_dataset(path: str) -> DatasetSplit:
     if (labels > 1).any():
         raise StoreError(f"{path} holds a label outside {{0, 1}}")
     return DatasetSplit(features=feats.astype(np.float64).reshape(n, f),
-                        labels=labels.astype(np.int64),
-                        row_ids=np.arange(n, dtype=np.int64))
+                        labels=labels.astype(np.int64))
 
 
 def save_sidecar(path: str, schema: FeatureSchema, enc: EncodingMap,
                  stats: NormStats, meta: dict | None = None) -> None:
-    doc = {"schema": schema.to_json(), "encoding": enc.to_json(),
-           "norm_stats": stats.to_json(), "meta": meta or {}}
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    doc = {"schema": schema.to_json(), "encoding": enc.codes,
+           "norm_stats": stats.stats, "meta": meta or {}}
+    write_atomic(path, (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8"))

@@ -1,8 +1,8 @@
 """Confusion matrix, the five detection metrics, ROC curve and AUC.
 
-Positive class is the anomaly (label 1). Degenerate denominators resolve to
-0.0 and set ``MetricReport.degenerate`` so callers can tell a true zero from
-a vacuous one.
+Positive class is the anomaly (label 1). A ratio whose denominator is zero
+(no negatives, no positive predictions, no positives, or a zero precision
+plus detection rate for F1) reads 0.0.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ class MetricReport:
     precision: float
     detection_rate: float
     f1: float
-    degenerate: bool = False
 
     def csv_row(self) -> str:
         """Percentages with 4 decimals, column order FAR%, Acc%, Prec%, DR%, F1%."""
@@ -75,26 +74,17 @@ def confusion(labels, preds) -> ConfusionMatrix:
 def metrics_from_confusion(cm: ConfusionMatrix) -> MetricReport:
     if cm.total < 1:
         raise EmptyInput("empty confusion matrix")
-    degenerate = False
 
-    def ratio(num: int, den: int) -> float:
-        nonlocal degenerate
-        if den == 0:
-            degenerate = True
-            return 0.0
-        return num / den
+    def ratio(num: float, den: float) -> float:
+        return num / den if den else 0.0
 
     accuracy = (cm.tp + cm.tn) / cm.total
     far = ratio(cm.fp, cm.fp + cm.tn)
     precision = ratio(cm.tp, cm.tp + cm.fp)
     dr = ratio(cm.tp, cm.tp + cm.fn)
-    if precision + dr == 0.0:
-        degenerate = True
-        f1 = 0.0
-    else:
-        f1 = 2.0 * precision * dr / (precision + dr)
+    f1 = ratio(2.0 * precision * dr, precision + dr)
     return MetricReport(accuracy=accuracy, far=far, precision=precision,
-                        detection_rate=dr, f1=f1, degenerate=degenerate)
+                        detection_rate=dr, f1=f1)
 
 
 def roc_curve(scores, labels) -> RocCurve:

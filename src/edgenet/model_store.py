@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data_pipeline import write_atomic
 from .errors import (BadMagic, CrcMismatch, EdgenetError, MaskViolation,
                      StoreError, VersionUnsupported)
 from .lstm_net import NetworkParams, zeros_params
@@ -98,27 +98,6 @@ class LoadedModel:
     mask: SparsityMask | None = None
 
 
-@dataclass(frozen=True)
-class SizeRow:
-    name: str
-    size_bytes: int
-    ratio: float  # baseline_size / this_size
-    accuracy: float | None = None
-
-
-@dataclass
-class SizeReport:
-    baseline: str
-    rows: list[SizeRow]
-
-    def csv(self) -> str:
-        lines = ["name,accuracy,size_bytes,ratio"]
-        for r in self.rows:
-            acc = f"{100.0 * r.accuracy:.4f}" if r.accuracy is not None else ""
-            lines.append(f"{r.name},{acc},{r.size_bytes},{r.ratio:.4f}")
-        return "\n".join(lines) + "\n"
-
-
 def _encode_payload(arr: np.ndarray, dtype: int, keep: np.ndarray | None) -> bytes:
     flat = np.ascontiguousarray(arr).ravel()
     if keep is None:
@@ -152,10 +131,7 @@ def _write_container(path: str, arch: dict, records: list[TensorRecord]) -> None
             parts.append(struct.pack("<fi", r.scale, r.zero_point))
         parts += [struct.pack("<I", len(r.payload)), r.payload,
                   struct.pack("<I", zlib.crc32(r.payload))]
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(b"".join(parts))
-    os.replace(tmp, path)
+    write_atomic(path, b"".join(parts))
 
 
 class _Reader:
@@ -266,7 +242,8 @@ def load_model(path: str) -> LoadedModel:
 
     Contents that cannot form a valid model (bad architecture, tensor names
     or shapes that do not fit it, invalid quantization parameters) raise
-    StoreError.
+    StoreError, and so does an architecture that implies more or fewer
+    entries than the records hold, before anything of its size is allocated.
     """
     arch, records = _read_container(path)
     for r in records:
@@ -274,12 +251,17 @@ def load_model(path: str) -> LoadedModel:
             raise CrcMismatch(r.name)
     try:
         return _assemble_model(arch, records)
-    except (EdgenetError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (EdgenetError, LookupError, TypeError, ValueError, OverflowError) as exc:
         raise StoreError(f"{path}: malformed container contents ({exc})") from exc
 
 
 def _assemble_model(arch: dict, records: list[TensorRecord]) -> LoadedModel:
-    template = zeros_params(arch["layer_sizes"], dropout_rate=arch["dropout_rate"],
+    sizes = arch["layer_sizes"]
+    implied = sum(4 * h * (h + d) + 4 * h for d, h in zip(sizes[:-1], sizes[1:])) + sizes[-1] + 1
+    stored = sum(math.prod(r.shape) for r in records)
+    if implied != stored:
+        raise StoreError(f"layer_sizes {sizes} imply {implied} entries, the records hold {stored}")
+    template = zeros_params(sizes, dropout_rate=arch["dropout_rate"],
                             tied_output_gate=arch["tied_output_gate"])
     expected = {name: arr.shape for name, arr in template.tensors().items()}
     if {r.name: r.shape for r in records} != expected:
@@ -307,17 +289,3 @@ def inspect(path: str) -> list[TensorRecord]:
     """Tensor records without materializing the model (CRC verified per payload)."""
     return _read_container(path)[1]
 
-
-def size_report(paths: list[str], baseline: str,
-                accuracies: dict[str, float] | None = None) -> SizeReport:
-    """Byte sizes and baseline/this ratios for a set of model files."""
-    base_size = os.path.getsize(baseline)
-    accuracies = accuracies or {}
-    rows = []
-    seen = [baseline] + [p for p in paths if os.path.abspath(p) != os.path.abspath(baseline)]
-    for p in seen:
-        size = os.path.getsize(p)
-        name = os.path.splitext(os.path.basename(p))[0]
-        rows.append(SizeRow(name=name, size_bytes=size, ratio=base_size / size,
-                            accuracy=accuracies.get(name)))
-    return SizeReport(baseline=os.path.basename(baseline), rows=rows)

@@ -40,10 +40,6 @@ class QuantizedTensor:
     values: np.ndarray  # int8
     params: QuantParams
 
-    @property
-    def shape(self):
-        return self.values.shape
-
 
 @dataclass
 class QuantizedModel:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import struct
 from dataclasses import asdict
 
 import numpy as np
@@ -179,6 +180,18 @@ class TestErrorPaths:
         assert "ConfigError" in err and message in err
         assert not os.path.exists(out)
 
+    def test_predict_on_oversized_layer_sizes_exit_3(self, tmp_path, capsys):
+        # the architecture claims a 9999999-wide layer the records do not hold
+        path = tmp_path / "m.eidm"
+        save_dense(zeros_params((3, 4), dropout_rate=0.0), str(path))
+        blob = path.read_bytes()
+        (old_len,) = struct.unpack_from("<I", blob, 8)
+        arch = b'{"dropout_rate":0.0,"layer_sizes":[3,9999999],"tied_output_gate":false}'
+        path.write_bytes(blob[:8] + struct.pack("<I", len(arch)) + arch + blob[12 + old_len:])
+        assert main(["predict", str(path), "--features", "0.1,0.2,0.3"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "malformed container contents" in err and "imply" in err
+
     def test_missing_model_is_io_error(self, tmp_path, capsys):
         rc = main(["dump", str(tmp_path / "nope.eidm")])
         assert rc == 3
@@ -271,8 +284,7 @@ class TestErrorPaths:
         net.head_b[...] = np.nan
         model = str(tmp_path / "nan.eidm")
         save_dense(net, model)
-        ds = DatasetSplit(features=np.full((4, 3), 0.5), labels=np.array([0, 1, 0, 1]),
-                          row_ids=np.arange(4))
+        ds = DatasetSplit(features=np.full((4, 3), 0.5), labels=np.array([0, 1, 0, 1]))
         data = str(tmp_path / "d.eidd")
         save_dataset(ds, data)
         deadline(5)
@@ -289,8 +301,7 @@ class TestErrorPaths:
 
     def test_nan_scores_on_single_class_split_exit_1(self, tmp_path, capsys):
         # ROC is skipped on one class, so only the score check can catch this
-        ds = DatasetSplit(features=np.full((4, 3), 0.5), labels=np.zeros(4, dtype=np.int64),
-                          row_ids=np.arange(4))
+        ds = DatasetSplit(features=np.full((4, 3), 0.5), labels=np.zeros(4, dtype=np.int64))
         data = str(tmp_path / "d.eidd")
         save_dataset(ds, data)
         out_dir = tmp_path / "eval"
@@ -307,8 +318,8 @@ class TestErrorPaths:
         assert "NonFiniteScore" in captured.err
 
     def zero_feature_split(self, path):
-        save_dataset(DatasetSplit(features=np.zeros((4, 0)), labels=np.array([0, 1, 0, 1]),
-                                  row_ids=np.arange(4)), str(path))
+        save_dataset(DatasetSplit(features=np.zeros((4, 0)), labels=np.array([0, 1, 0, 1])),
+                     str(path))
 
     def test_zero_feature_dataset_evaluate_exit_3(self, tmp_path, capsys):
         model = str(tmp_path / "zero.eidm")
@@ -439,6 +450,46 @@ class TestConfigTypes:
         assert doc == json.loads(json.dumps(asdict(expected)))  # every key shown
 
 
+class TestSizeReport:
+    def test_baseline_against_itself(self, tmp_path, capsys):
+        path = str(tmp_path / "m.eidm")
+        save_dense(zeros_params((3, 4), dropout_rate=0.0), path)
+        assert main(["size-report", "--baseline", path, path]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "name,accuracy,size_bytes,ratio", f"m,,{os.path.getsize(path)},1.0000"]
+
+    def test_csv_columns(self, tmp_path, capsys):
+        path = str(tmp_path / "m.eidm")
+        save_dense(zeros_params((3, 4), dropout_rate=0.0), path)
+        (tmp_path / "metrics.csv").write_text("FAR%,Acc%\n1.0,99.0\n", encoding="utf-8")
+        out = tmp_path / "report.csv"
+        assert main(["size-report", "--baseline", path, "--out", str(out),
+                     "--eval", f"m={tmp_path / 'metrics.csv'}"]) == 0
+        text = capsys.readouterr().out
+        assert text.splitlines()[0] == "name,accuracy,size_bytes,ratio"
+        assert text.splitlines()[1].startswith("m,99.0000,")
+        assert out.read_text(encoding="utf-8") == text
+
+    @pytest.mark.parametrize("role", ["baseline", "model"])
+    @pytest.mark.parametrize("kind", ["empty", "csv", "eidd"])
+    def test_file_that_is_not_a_container_exit_3(self, tmp_path, capsys, role, kind):
+        model = str(tmp_path / "m.eidm")
+        save_dense(zeros_params((3, 4), dropout_rate=0.0), model)
+        bad = tmp_path / f"bad.{kind}"
+        if kind == "eidd":
+            save_dataset(DatasetSplit(features=np.zeros((2, 3)), labels=np.array([0, 1])),
+                         str(bad))
+        else:
+            bad.write_bytes(b"" if kind == "empty" else b"f0,label\n0.5,1\n")
+        first, second = (str(bad), model) if role == "baseline" else (model, str(bad))
+        out = tmp_path / "report.csv"
+        rc = main(["size-report", "--baseline", first, second, "--out", str(out)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert not out.exists()
+
+
 class TestParser:
     def test_built_once_and_eval_flags_stay_per_call(self, tmp_path, capsys):
         assert build_parser() is build_parser()
@@ -501,8 +552,7 @@ class TestEvaluateEdgeCases:
         model = str(tmp_path / "zero.eidm")
         save_dense(net, model)
         rng = np.random.default_rng(0)
-        ds = DatasetSplit(features=rng.random((40, 10)),
-                          labels=np.array([0, 1] * 20), row_ids=np.arange(40))
+        ds = DatasetSplit(features=rng.random((40, 10)), labels=np.array([0, 1] * 20))
         data = str(tmp_path / "d.eidd")
         save_dataset(ds, data)
         assert main(["evaluate", model, data, "--threshold", "0.5"]) == 0
@@ -516,7 +566,7 @@ class TestEvaluateEdgeCases:
         model = str(tmp_path / "zero.eidm")
         save_dense(net, model)
         ds = DatasetSplit(features=np.random.default_rng(1).random((10, 10)),
-                          labels=np.ones(10, dtype=np.int64), row_ids=np.arange(10))
+                          labels=np.ones(10, dtype=np.int64))
         data = str(tmp_path / "one.eidd")
         save_dataset(ds, data)
         out_dir = str(tmp_path / "eval")

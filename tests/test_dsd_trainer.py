@@ -6,7 +6,7 @@ import pytest
 from edgenet.config import Architecture, EarlyStop, Phase, Phases, Pruning, RunConfig
 from edgenet.data_pipeline import DatasetSplit, split_indices
 from edgenet.dsd_trainer import (PHASE_DENSE, PHASE_REDENSE, PHASE_SPARSE,
-                                 TrainContext, _run_phase, to_sequences, train_dsd)
+                                 TrainRun, _run_phase, to_sequences, train_dsd)
 from edgenet.errors import ConfigError, NonFiniteLoss
 from edgenet.lstm_net import (NetworkParams, backward, bce_loss, forward_batch,
                               init_params, scores)
@@ -17,7 +17,7 @@ from edgenet.synthetic import make_synthetic
 
 def toy_data(n=200, seed=0):
     x, y = make_synthetic(n_rows=n, seed=seed)
-    return tuple(DatasetSplit(features=x[i], labels=y[i], row_ids=i)
+    return tuple(DatasetSplit(features=x[i], labels=y[i])
                  for i in split_indices(n, (0.6, 0.2, 0.2), seed=5))
 
 
@@ -27,18 +27,18 @@ def separable_data(n=200):
     keep = np.abs(x[:, 0] - x[:, 1]) > 0.1
     x = x[keep]
     y = (x[:, 0] > x[:, 1]).astype(np.int64)
-    return DatasetSplit(features=x, labels=y, row_ids=np.arange(len(y)))
+    return DatasetSplit(features=x, labels=y)
 
 
-def make_ctx(seed, clip=5.0, pruning=Pruning(), **phases):
-    """Context with the default run config but for the clipping norm, the
+def make_run(seed, clip=5.0, pruning=Pruning(), **phases):
+    """Run record with the default config but for the clipping norm, the
     pruning section and the phase settings ``phases`` (e.g.
     ``dense=Phase(...)``), and two PRNG streams spawned from ``seed``; no
     validation data."""
     cfg = RunConfig(phases=replace(Phases(), **phases), pruning=pruning, grad_clip_norm=clip)
     drop_ss, shuf_ss = np.random.SeedSequence(seed).spawn(2)
-    return TrainContext(cfg=cfg, val=None, dropout_rng=np.random.default_rng(drop_ss),
-                        shuffle_rng=np.random.default_rng(shuf_ss))
+    return TrainRun(cfg=cfg, val=None, dropout_rng=np.random.default_rng(drop_ss),
+                    shuffle_rng=np.random.default_rng(shuf_ss))
 
 
 def small_cfg(seed, early_stop=EarlyStop(), **phases):
@@ -76,8 +76,8 @@ class TestDensePhase:
         tr, va, te = toy_data()
         net = init_params((10, 8), seed=1, dropout_rate=0.1)
         before = net.copy()
-        ctx = make_ctx(3, dense=Phase(learning_rate=0.0, epochs=2, batch_size=64))
-        _run_phase(net, tr, ctx, PHASE_DENSE)
+        run = make_run(3, dense=Phase(learning_rate=0.0, epochs=2, batch_size=64))
+        _run_phase(net, tr, run, PHASE_DENSE)
         for name, arr in before.tensors().items():
             np.testing.assert_array_equal(net.tensors()[name], arr)
 
@@ -87,13 +87,13 @@ class TestDensePhase:
         start = net.copy()
         cfg = Phase(learning_rate=0.05, epochs=1, batch_size=10_000)
         mu = Pruning().mu
-        _run_phase(net, tr, make_ctx(9, clip=None, dense=cfg), PHASE_DENSE)
+        _run_phase(net, tr, make_run(9, clip=None, dense=cfg), PHASE_DENSE)
         # identical PRNG streams reproduce the exact batch order and masks
-        ctx2 = make_ctx(9)
-        order = ctx2.shuffle_rng.permutation(len(tr))
+        ref = make_run(9)
+        order = ref.shuffle_rng.permutation(len(tr))
         x_seq = to_sequences(tr.features, 1)[order]
         y = tr.labels.astype(np.float64)[order]
-        _, cache = forward_batch(start, x_seq, mode="train", rng=ctx2.dropout_rng)
+        _, cache = forward_batch(start, x_seq, mode="train", rng=ref.dropout_rng)
         grads = backward(start, cache, y).tensors()
         theta = start.tensors()
         for name in start.weight_names():
@@ -105,9 +105,9 @@ class TestDensePhase:
     def test_loss_strictly_decreases_on_separable_data(self):
         data = separable_data()
         net = init_params((2, 8, 8), seed=4, dropout_rate=0.0)
-        ctx = make_ctx(1, dense=Phase(learning_rate=0.1, epochs=5, batch_size=10_000))
-        _run_phase(net, data, ctx, PHASE_DENSE)
-        losses = [r.train_loss for r in ctx.records]
+        run = make_run(1, dense=Phase(learning_rate=0.1, epochs=5, batch_size=10_000))
+        _run_phase(net, data, run, PHASE_DENSE)
+        losses = [r.train_loss for r in run.records]
         assert len(losses) == 5
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
@@ -124,8 +124,8 @@ class TestDensePhase:
             return original(self, tree)
 
         monkeypatch.setattr(NetworkParams, "with_tensors", counted)
-        ctx = make_ctx(3, dense=Phase(learning_rate=0.1, epochs=2, batch_size=64))
-        _run_phase(net, tr, ctx, PHASE_DENSE)
+        run = make_run(3, dense=Phase(learning_rate=0.1, epochs=2, batch_size=64))
+        _run_phase(net, tr, run, PHASE_DENSE)
         assert rebuilds == []
         assert net.layers[0].w is stacked and not np.array_equal(stacked, before)
 
@@ -134,9 +134,10 @@ class TestSparsePhase:
     def test_survivor_counts_and_bitwise_zeros(self):
         tr, va, _ = toy_data()
         net = init_params((10, 8, 8), seed=5, dropout_rate=0.1)
-        ctx = make_ctx(11, sparse=Phase(0.01, 4, 64))
-        mask = _run_phase(net, tr, ctx, PHASE_SPARSE)
-        assert ctx.mask_violations == 0
+        run = make_run(11, sparse=Phase(0.01, 4, 64))
+        _run_phase(net, tr, run, PHASE_SPARSE)
+        mask = run.final_mask
+        assert run.mask_violations == 0
         for name, m in mask.masks.items():
             arr = net.tensors()[name]
             n = arr.size
@@ -149,17 +150,17 @@ class TestSparsePhase:
         tr, _, _ = toy_data()
         net = init_params((10, 8), seed=6, dropout_rate=0.1)
         pruning = Pruning(initial_sparsity=0.5, final_sparsity=0.5, mu=0.0)
-        ctx = make_ctx(2, pruning=pruning, sparse=Phase(0.01, 3, 64))
-        _run_phase(net, tr, ctx, PHASE_SPARSE)
-        assert all(r.a_twd == 0.0 for r in ctx.records)
-        assert all(r.a > 0.0 for r in ctx.records)  # a still advances
+        run = make_run(2, pruning=pruning, sparse=Phase(0.01, 3, 64))
+        _run_phase(net, tr, run, PHASE_SPARSE)
+        assert all(r.a_twd == 0.0 for r in run.records)
+        assert all(r.a > 0.0 for r in run.records)  # a still advances
 
     def test_sparsity_column_follows_ramp(self):
         tr, _, _ = toy_data()
         net = init_params((10, 8), seed=6, dropout_rate=0.1)
-        ctx = make_ctx(2, sparse=Phase(0.01, 4, 64))
-        _run_phase(net, tr, ctx, PHASE_SPARSE)
-        ramps = [r.sparsity for r in ctx.records]
+        run = make_run(2, sparse=Phase(0.01, 4, 64))
+        _run_phase(net, tr, run, PHASE_SPARSE)
+        ramps = [r.sparsity for r in run.records]
         np.testing.assert_allclose(ramps, [0.25, 0.25 + 0.55 / 3,
                                            0.25 + 2 * 0.55 / 3, 0.8])
 
@@ -177,15 +178,16 @@ class TestReductionOrder:
         start = net.copy()
         lr, mu, clip, sparsity = 20.0, 1e-3, 1e-3, 0.5
         swd = Pruning(initial_sparsity=sparsity, final_sparsity=sparsity, a0=0.05, mu=mu)
-        ctx = make_ctx(17, clip=clip, pruning=swd, sparse=Phase(lr, 1, 10_000))
-        mask = _run_phase(net, tr, ctx, PHASE_SPARSE)
+        run = make_run(17, clip=clip, pruning=swd, sparse=Phase(lr, 1, 10_000))
+        _run_phase(net, tr, run, PHASE_SPARSE)
+        mask = run.final_mask
 
         theta = start.tensors()
         weights = start.weight_names()
         keep = compute_masks({n: theta[n] for n in weights}, sparsity).masks
         for n in weights:
             theta[n][...] = np.where(keep[n].astype(bool), theta[n], 0.0)
-        ref = make_ctx(17)
+        ref = make_run(17)
         order = ref.shuffle_rng.permutation(len(tr))
         y = tr.labels.astype(np.float64)[order]
         p, cache = forward_batch(start, to_sequences(tr.features, 1)[order], mode="train",
@@ -220,10 +222,10 @@ class TestReductionOrder:
         for n in weights:
             theta[n][...] = np.where(keep[n].astype(bool), theta[n], 0.0)
 
-        (rec,) = ctx.records
+        (rec,) = run.records
         assert (rec.err, rec.wd, rec.a_twd, rec.a) == (err, wd, a * twd, a)
         assert rec.train_loss == err + wd + a * twd
-        assert ctx.mask_violations == 0
+        assert run.mask_violations == 0
         for n in weights:
             np.testing.assert_array_equal(mask.masks[n], keep[n])
         for name, arr in start.tensors().items():
@@ -234,11 +236,13 @@ class TestRedensePhase:
     def test_pruned_weights_resume_from_zero(self):
         tr, _, _ = toy_data()
         net = init_params((10, 8), seed=7, dropout_rate=0.1)
-        ctx = make_ctx(3, pruning=Pruning(initial_sparsity=0.6, final_sparsity=0.6),
+        run = make_run(3, pruning=Pruning(initial_sparsity=0.6, final_sparsity=0.6),
                        sparse=Phase(0.01, 2, 64), redense=Phase(0.001, 2, 64))
-        mask = _run_phase(net, tr, ctx, PHASE_SPARSE)
+        _run_phase(net, tr, run, PHASE_SPARSE)
+        mask = run.final_mask
         sparse_net = net.copy()
-        _run_phase(net, tr, ctx, PHASE_REDENSE, frozen_mask=mask)
+        _run_phase(net, tr, run, PHASE_REDENSE)
+        assert run.final_mask is mask
         revived = 0
         for name, m in mask.masks.items():
             pruned_before = sparse_net.tensors()[name][~m.astype(bool)]
@@ -250,13 +254,14 @@ class TestRedensePhase:
     def test_reports_frozen_mask_sparsity(self):
         tr, _, _ = toy_data()
         net = init_params((10, 8), seed=7, dropout_rate=0.1)
-        ctx = make_ctx(3, pruning=Pruning(initial_sparsity=0.6, final_sparsity=0.6),
-                       sparse=Phase(0.01, 2, 64), redense=Phase(0.001, 2, 64))
-        mask = _run_phase(net, tr, ctx, PHASE_SPARSE)
-        n_before = len(ctx.records)
-        _run_phase(net, tr, ctx, PHASE_REDENSE, frozen_mask=mask)
-        for r in ctx.records[n_before:]:
-            assert r.sparsity == pytest.approx(mask.zero_fraction())
+        run = make_run(3, redense=Phase(0.001, 2, 64))
+        tree = net.tensors()
+        run.final_mask = compute_masks({k: tree[k] for k in net.weight_names()}, 0.3)
+        assert run.final_mask.zero_fraction() > 0.0
+        _run_phase(net, tr, run, PHASE_REDENSE)
+        assert len(run.records) == 2
+        for r in run.records:
+            assert r.sparsity == pytest.approx(run.final_mask.zero_fraction())
             assert r.a == 0.0
 
 
@@ -337,7 +342,6 @@ class TestTrainDsd:
 
     def test_empty_split_rejected(self):
         tr, va, _ = toy_data()
-        empty = DatasetSplit(features=np.zeros((0, 10)), labels=np.zeros(0, dtype=int),
-                             row_ids=np.zeros(0, dtype=int))
+        empty = DatasetSplit(features=np.zeros((0, 10)), labels=np.zeros(0, dtype=int))
         with pytest.raises(ConfigError):
             train_dsd(small_cfg(seed=0), empty, va)

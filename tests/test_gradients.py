@@ -5,7 +5,7 @@ import pytest
 
 from edgenet.config import Phase, Phases, RunConfig
 from edgenet.data_pipeline import DatasetSplit
-from edgenet.dsd_trainer import PHASE_DENSE, TrainContext, _run_phase
+from edgenet.dsd_trainer import PHASE_DENSE, TrainRun, _run_phase
 from edgenet.lstm_net import backward, forward_batch, init_params
 from edgenet.optimizer import l2_term
 
@@ -84,9 +84,9 @@ def test_seq_len_1_moves_forget_gate_and_recurrent_columns_by_l2_alone():
     before = net.copy()
     cfg = RunConfig(phases=Phases(dense=Phase(learning_rate=0.05, epochs=1, batch_size=64)),
                     grad_clip_norm=None)
-    ctx = TrainContext(cfg=cfg, val=None, dropout_rng=np.random.default_rng(2),
-                       shuffle_rng=np.random.default_rng(3))
-    _run_phase(net, DatasetSplit(features=x, labels=y, row_ids=np.arange(5)), ctx, PHASE_DENSE)
+    run = TrainRun(cfg=cfg, val=None, dropout_rng=np.random.default_rng(2),
+                   shuffle_rng=np.random.default_rng(3))
+    _run_phase(net, DatasetSplit(features=x, labels=y), run, PHASE_DENSE)
     for old, new in zip(before.layers, net.layers):
         h = new.hidden_size
         for rows, cols in ((slice(0, h), slice(None)), (slice(None), slice(0, h))):

