@@ -79,17 +79,14 @@ def cmd_train(cfg: RunConfig, data_dir: str, out_dir: str) -> int:
     return EXIT_OK
 
 
-def cmd_quantize(model_in: str, model_out: str, cfg: RunConfig) -> int:
+def cmd_quantize(model_in: str, model_out: str) -> int:
     loaded = store.load_model(model_in)
     if loaded.kind == "quantized":
         # already 8-bit: pass through unchanged (recalibration would drift)
         store.save_quantized(loaded.qmodel, model_out)
         print(f"{model_in} is already quantized; re-serialized to {model_out}")
         return EXIT_OK
-    quant = cfg.quantization
-    qm = quantize_model(loaded.params, mask=loaded.mask, fixed_range=quant.fixed_range,
-                        q_min=quant.q_min, q_max=quant.q_max)
-    store.save_quantized(qm, model_out)
+    store.save_quantized(quantize_model(loaded.params, mask=loaded.mask), model_out)
     ratio = os.path.getsize(model_in) / os.path.getsize(model_out)
     print(f"quantized {model_in} -> {model_out} ({ratio:.2f}x smaller)")
     return EXIT_OK
@@ -229,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quantize", help="float model -> int8 model")
     p.add_argument("model_in")
     p.add_argument("model_out")
-    p.add_argument("--config")
 
     p = sub.add_parser("evaluate", help="metrics + ROC for a model on a split")
     p.add_argument("model")
@@ -264,7 +260,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             return cmd_preprocess(cfg, args.csv, args.out)
         return cmd_train(cfg, args.data, args.out)
     if args.command == "quantize":
-        return cmd_quantize(args.model_in, args.model_out, load_config(args.config))
+        return cmd_quantize(args.model_in, args.model_out)
     if args.command in ("evaluate", "predict") and not 0.0 <= args.threshold <= 1.0:
         raise ConfigError(f"threshold must be in [0, 1], got {args.threshold}")
     if args.command == "evaluate":

@@ -33,7 +33,6 @@ class Architecture:
     layers: int = 3
     hidden: int = 32
     dropout: float = 0.1
-    tied_output_gate: bool = False
     seq_len: int = 1
 
     def __post_init__(self):
@@ -99,24 +98,12 @@ class Pruning:
 
 
 @dataclass(frozen=True)
-class Quantization:
-    q_min: int = -128
-    q_max: int = 127
-    fixed_range: bool = False
-
-    def __post_init__(self):
-        if not -128 <= self.q_min < self.q_max <= 127:
-            raise ConfigError(f"quantization range [{self.q_min}, {self.q_max}] "
-                              "must fit signed 8-bit with q_min < q_max")
-
-
-@dataclass(frozen=True)
 class EarlyStop:
-    """Patience on validation AUC; one enable flag per phase."""
+    """Patience on validation AUC and an enable flag per phase that stops
+    early; the sparse phase always runs its ramp to ``final_sparsity``."""
 
     patience: int = 5
     dense: bool = True
-    sparse: bool = False
     redense: bool = True
 
     def __post_init__(self):
@@ -132,7 +119,6 @@ class RunConfig:
     architecture: Architecture = Architecture()
     phases: Phases = Phases()
     pruning: Pruning = Pruning()
-    quantization: Quantization = Quantization()
     early_stop: EarlyStop = EarlyStop()
     grad_clip_norm: float | None = 5.0  # null turns clipping off
 

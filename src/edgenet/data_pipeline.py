@@ -316,12 +316,12 @@ def load_dataset(path: str) -> DatasetSplit:
         raise StoreError(f"{path} is {len(buf)} bytes, shorter than its {off}-byte header")
     version, n, f = struct.unpack_from("<HIH", buf, 4)
     if version != DATASET_VERSION:
-        raise VersionUnsupported(f"dataset version {version}, expected {DATASET_VERSION}")
+        raise VersionUnsupported(f"{path}: version {version}, expected {DATASET_VERSION}")
     if f == 0:
         raise StoreError(f"{path} holds rows with zero features")
     need = n * f * 4 + n
     if len(buf) - off != need:
-        raise StoreError(f"dataset payload is {len(buf) - off} bytes, expected {need}")
+        raise StoreError(f"{path}: payload is {len(buf) - off} bytes, expected {need}")
     feats = np.frombuffer(buf, dtype="<f4", count=n * f, offset=off)
     labels = np.frombuffer(buf, dtype=np.uint8, count=n, offset=off + n * f * 4)
     if not np.isfinite(feats).all():

@@ -15,9 +15,9 @@ penalty a*TWD on the sub-threshold survivor subset. The re-dense phase
 lifts the mask so pruned weights resume training from zero.
 
 Reported train loss per epoch decomposes as err + wd + a_twd (batch means).
-Validation loss is plain BCE. Early stopping watches validation AUC and
-restores the best epoch's weights; it is off by default in the sparse phase
-so the ramp always reaches its final sparsity.
+Validation loss is plain BCE. Early stopping on validation AUC restores the
+best epoch's weights in the dense and re-dense phases; the sparse phase
+always runs its whole ramp to the final sparsity.
 """
 
 from __future__ import annotations
@@ -89,7 +89,11 @@ def to_sequences(features: np.ndarray, seq_len: int) -> np.ndarray:
 
 def _clip_global_norm(grads: ParamTree, clip: float) -> None:
     """Scale the gradients in place so their global L2 norm is at most ``clip``."""
-    total = np.sqrt(sum(v for g in grads.values() for v in np.sum(g * g, axis=1).tolist()))
+    sq = 0.0  # a plain loop: the built-in sum() of floats is compensated from Python 3.12 on
+    for g in grads.values():
+        for v in np.sum(g * g, axis=1).tolist():
+            sq += v
+    total = np.sqrt(sq)
     if total > clip:
         for g in grads.values():
             g *= clip / total
@@ -113,7 +117,7 @@ def _run_phase(net: NetworkParams, data: DatasetSplit, run: TrainRun, phase: str
     ``run.cfg`` gives ``phase``. The sparse phase leaves its final mask in
     ``run.final_mask``; the re-dense phase reports that mask's sparsity."""
     cfg, swd = getattr(run.cfg.phases, phase), run.cfg.pruning
-    early_enabled = getattr(run.cfg.early_stop, phase)
+    early_enabled = phase != PHASE_SPARSE and getattr(run.cfg.early_stop, phase)
     rows = net.rows()
     weights = [k for k in rows if is_weight_name(k)]
     state = SgdmState.init(rows, alpha=run.cfg.phases.momentum, eta=cfg.learning_rate)
@@ -123,7 +127,6 @@ def _run_phase(net: NetworkParams, data: DatasetSplit, run: TrainRun, phase: str
 
     best_metric = -np.inf
     best_rows = None
-    best_mask = None
     stall = 0
 
     for e in range(cfg.epochs):
@@ -197,7 +200,6 @@ def _run_phase(net: NetworkParams, data: DatasetSplit, run: TrainRun, phase: str
             if metric > best_metric:
                 best_metric = metric
                 best_rows = {k: v.copy() for k, v in rows.items()}
-                best_mask = run.final_mask
                 stall = 0
             else:
                 stall += 1
@@ -207,7 +209,6 @@ def _run_phase(net: NetworkParams, data: DatasetSplit, run: TrainRun, phase: str
     if best_rows is not None:
         for k, v in best_rows.items():
             rows[k][...] = v
-        run.final_mask = best_mask
 
 
 def train_dsd(cfg: RunConfig, train_split: DatasetSplit,
@@ -225,7 +226,7 @@ def train_dsd(cfg: RunConfig, train_split: DatasetSplit,
     init_ss, drop_ss, shuf_ss = root.spawn(3)
     layer_sizes = [input_dim] + [arch.hidden] * arch.layers
     net = init_params(layer_sizes, seed=int(init_ss.generate_state(1)[0]),
-                      dropout_rate=arch.dropout, tied_output_gate=arch.tied_output_gate)
+                      dropout_rate=arch.dropout)
 
     run = TrainRun(cfg=cfg, val=val_split, dropout_rng=np.random.default_rng(drop_ss),
                    shuffle_rng=np.random.default_rng(shuf_ss))

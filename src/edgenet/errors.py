@@ -115,9 +115,9 @@ class VersionUnsupported(StoreError):
 
 
 class CrcMismatch(StoreError):
-    def __init__(self, tensor: str):
+    def __init__(self, path: str, tensor: str):
         self.tensor = tensor
-        super().__init__(f"payload CRC mismatch for tensor '{tensor}'")
+        super().__init__(f"{path}: payload CRC mismatch for tensor '{tensor}'")
 
 
 class MaskViolation(StoreError):

@@ -3,10 +3,8 @@
 Each layer keeps its four gates in one stacked weight ``w`` [4H x (H+D)]
 acting on the concatenation [h_prev, x_t], with row blocks forget f, input i,
 candidate j and output o, plus one stacked bias ``b`` [4H]. A step is one
-matmul forward and one pair of matmuls backward. With ``tied_output_gate``
-the output gate reuses the candidate's pre-activation (z = sigmoid of what j
-takes tanh of) and the o block goes unused; the default gives the output
-gate its own rows.
+matmul forward and one pair of matmuls backward. Every gate, the output
+gate included, has its own rows.
 
 Every sequence starts from the zero state h_prev = c_prev = 0, so its first
 step (t = 0, and at the default ``seq_len`` 1 the only step) is computed
@@ -89,7 +87,6 @@ class NetworkParams:
     head_w: np.ndarray  # [H_last]
     head_b: np.ndarray  # scalar, shape ()
     dropout_rate: float = 0.1
-    tied_output_gate: bool = False
 
     def __post_init__(self):
         if not self.layers:
@@ -133,8 +130,7 @@ class NetworkParams:
 
     def with_tensors(self, tree: ParamTree) -> "NetworkParams":
         """New NetworkParams of this shape holding copies of a congruent tree."""
-        net = zeros_params(self.layer_sizes, dropout_rate=self.dropout_rate,
-                           tied_output_gate=self.tied_output_gate)
+        net = zeros_params(self.layer_sizes, dropout_rate=self.dropout_rate)
         for name, view in net.tensors().items():
             if np.shape(tree[name]) != view.shape:
                 raise DimensionMismatch(
@@ -163,8 +159,7 @@ def stack_rows(tree: ParamTree) -> ParamTree:
     return {name: np.stack(group) for name, group in rows.items()}
 
 
-def zeros_params(layer_sizes, dropout_rate: float = 0.1,
-                 tied_output_gate: bool = False) -> NetworkParams:
+def zeros_params(layer_sizes, dropout_rate: float = 0.1) -> NetworkParams:
     """All-zero parameter set; ``layer_sizes`` is (input_dim, hidden_1, ..., hidden_L)."""
     sizes = list(layer_sizes)
     if len(sizes) < 2 or any(s < 1 for s in sizes):
@@ -172,15 +167,13 @@ def zeros_params(layer_sizes, dropout_rate: float = 0.1,
     layers = [LstmLayerParams(w=np.zeros((4 * h, h + d)), b=np.zeros(4 * h))
               for d, h in zip(sizes[:-1], sizes[1:])]
     return NetworkParams(layers=layers, head_w=np.zeros(sizes[-1]), head_b=np.zeros(()),
-                         dropout_rate=dropout_rate, tied_output_gate=tied_output_gate)
+                         dropout_rate=dropout_rate)
 
 
-def init_params(layer_sizes, seed: int, dropout_rate: float = 0.1,
-                tied_output_gate: bool = False) -> NetworkParams:
+def init_params(layer_sizes, seed: int, dropout_rate: float = 0.1) -> NetworkParams:
     """Glorot-normal weights, std = sqrt(2 / (fan_in + fan_out)) per gate
     block and for the head; biases start at zero."""
-    net = zeros_params(layer_sizes, dropout_rate=dropout_rate,
-                       tied_output_gate=tied_output_gate)
+    net = zeros_params(layer_sizes, dropout_rate=dropout_rate)
     rng = np.random.default_rng(seed)
     for layer in net.layers:
         fan_in, fan_out = layer.w.shape[1], layer.hidden_size
@@ -197,7 +190,7 @@ class LayerCache:
     inputs: list = field(default_factory=list)    # x_t after lower dropout, (B, D)
     h_prev: list = field(default_factory=list)    # (B, H); undropped recurrence, None at t = 0
     c_prev: list = field(default_factory=list)
-    gates: list = field(default_factory=list)     # activated f, i, j, z (B, 4H); i, j, z (B, 3H) at t = 0
+    gates: list = field(default_factory=list)     # activated f, i, j, o (B, 4H); i, j, o (B, 3H) at t = 0
     tanh_c: list = field(default_factory=list)
     out_scale: list = field(default_factory=list)  # inverted-dropout mask or None
 
@@ -205,7 +198,6 @@ class LayerCache:
 @dataclass
 class ForwardCache:
     mode: str
-    tied: bool
     layers: list[LayerCache]  # one per layer in train mode, empty in eval mode
     head_input: np.ndarray  # (B, H_last), post-dropout
     p: np.ndarray           # (B,)
@@ -221,14 +213,14 @@ def _gate_scale(hdim: int) -> np.ndarray:
     return s
 
 
-def _cell_math(layer: LstmLayerParams, x_t, h_prev, c_prev, tied: bool):
+def _cell_math(layer: LstmLayerParams, x_t, h_prev, c_prev):
     """One step for a batch. Returns (h, c, gates, tanh_c) with ``gates`` the
-    activated [B, 4H] array: blocks f, i, j and the output gate z.
+    activated [B, 4H] array: blocks f, i, j and o.
 
     ``h_prev = c_prev = None`` is the zero state of a sequence's first step:
     the forget gate multiplies c_prev = 0 and the recurrent columns W[:, :H]
     multiply h_prev = 0, so only the i, j and o rows are computed, from the
-    input columns, and ``gates`` is [B, 3H] with blocks i, j, z.
+    input columns, and ``gates`` is [B, 3H] with blocks i, j, o.
     """
     hdim = layer.hidden_size
     s = _gate_scale(hdim)
@@ -239,18 +231,16 @@ def _cell_math(layer: LstmLayerParams, x_t, h_prev, c_prev, tied: bool):
     else:
         gates = np.concatenate([h_prev, x_t], axis=1) @ layer.w.T
         gates += layer.b
-    if tied:
-        gates[:, -hdim:] = gates[:, -2 * hdim:-hdim]
     gates *= s
     np.tanh(gates, out=gates)
     gates *= s
     gates += 1.0 - s
-    i, j, z = np.split(gates[:, -3 * hdim:], 3, axis=1)
+    i, j, o = np.split(gates[:, -3 * hdim:], 3, axis=1)
     c = i * j
     # f * c_prev + i * j; on the zero state + 0.0 still turns -0 into +0.
     c += 0.0 if c_prev is None else gates[:, :hdim] * c_prev
     tanh_c = np.tanh(c)
-    return z * tanh_c, c, gates, tanh_c
+    return o * tanh_c, c, gates, tanh_c
 
 
 def forward_batch(net: NetworkParams, x: np.ndarray, mode: str = "eval",
@@ -286,7 +276,7 @@ def forward_batch(net: NetworkParams, x: np.ndarray, mode: str = "eval",
         for t in range(seq_len):
             inp, cur[t] = cur[t], None  # the cache, if any, holds the only reference
             h_prev, c_prev = h, c
-            h, c, gates, tanh_c = _cell_math(layer, inp, h, c, net.tied_output_gate)
+            h, c, gates, tanh_c = _cell_math(layer, inp, h, c)
             scale = None
             if rate > 0.0:
                 keep = (rng.random((batch, hdim)) >= rate)
@@ -305,8 +295,8 @@ def forward_batch(net: NetworkParams, x: np.ndarray, mode: str = "eval",
 
     head_input = cur[-1]
     p = sigmoid(head_input @ net.head_w + net.head_b)
-    cache = ForwardCache(mode=mode, tied=net.tied_output_gate, layers=caches,
-                         head_input=head_input, p=p, batch_size=batch, seq_len=seq_len)
+    cache = ForwardCache(mode=mode, layers=caches, head_input=head_input, p=p,
+                         batch_size=batch, seq_len=seq_len)
     return p, cache
 
 
@@ -326,7 +316,7 @@ def backward(net: NetworkParams, cache: ForwardCache, y) -> NetworkParams:
     """
     if cache.mode != "train":
         raise CacheMismatch("backward needs a train-mode forward cache")
-    if len(cache.layers) != len(net.layers) or cache.tied != net.tied_output_gate:
+    if len(cache.layers) != len(net.layers):
         raise CacheMismatch("cache does not match the network architecture")
     for lc, layer in zip(cache.layers, net.layers):
         if lc.tanh_c[0].shape[1] != layer.hidden_size:
@@ -338,8 +328,7 @@ def backward(net: NetworkParams, cache: ForwardCache, y) -> NetworkParams:
     if y.shape != (batch,):
         raise DimensionMismatch(f"labels shape {y.shape} != ({batch},)")
 
-    grads = zeros_params(net.layer_sizes, dropout_rate=net.dropout_rate,
-                         tied_output_gate=net.tied_output_gate)
+    grads = zeros_params(net.layer_sizes, dropout_rate=net.dropout_rate)
 
     # Head: d(mean loss)/d(pre-sigmoid) collapses to (p - y) / B wherever the
     # clamp is inactive; a clamped probability contributes zero gradient.
@@ -383,10 +372,6 @@ def backward(net: NetworkParams, cache: ForwardCache, y) -> NetworkParams:
             slope = gates * (1.0 - gates)
             slope[:, j_] = 1.0 - gates[:, j_] * gates[:, j_]
             d_pre *= slope
-            if cache.tied:
-                # z shares the j pre-activation; the o block stays unused.
-                d_pre[:, j_] += d_pre[:, o_]
-                d_pre[:, o_] = 0.0
             g_layer.w[skip:, skip:] += d_pre.T @ step_in
             g_layer.b[skip:] += d_pre.sum(axis=0)
             d_step_in = d_pre @ layer.w[skip:, skip:]

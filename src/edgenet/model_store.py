@@ -37,7 +37,7 @@ from .errors import (BadMagic, CrcMismatch, EdgenetError, MaskViolation,
                      StoreError, VersionUnsupported)
 from .lstm_net import NetworkParams, zeros_params
 from .pruning import SparsityMask
-from .quantizer import QuantizedModel, QuantizedTensor, QuantParams
+from .quantizer import Q_MAX, Q_MIN, QuantizedModel, QuantizedTensor, QuantParams
 
 MAGIC = b"EIDM"
 VERSION = 1
@@ -135,13 +135,14 @@ def _write_container(path: str, arch: dict, records: list[TensorRecord]) -> None
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
+    def __init__(self, buf: bytes, path: str):
         self.buf = buf
+        self.path = path
         self.off = 0
 
     def take(self, n: int) -> bytes:
         if self.off + n > len(self.buf):
-            raise StoreError("truncated file")
+            raise StoreError(f"{self.path}: truncated file")
         out = self.buf[self.off:self.off + n]
         self.off += n
         return out
@@ -153,18 +154,19 @@ class _Reader:
         try:
             return self.take(n).decode("utf-8")
         except UnicodeDecodeError:
-            raise StoreError(f"header text at byte {self.off - n} is not UTF-8") from None
+            raise StoreError(f"{self.path}: header text at byte {self.off - n} "
+                             "is not UTF-8") from None
 
 
 def _read_container(path: str) -> tuple[dict, list[TensorRecord]]:
     """The architecture and the tensor records; any header fault is a StoreError."""
     with open(path, "rb") as fh:
-        rd = _Reader(fh.read())
+        rd = _Reader(fh.read(), path)
     if rd.take(4) != MAGIC:
         raise BadMagic(f"{path} is not a model container")
     version, count = rd.unpack("<HH")
     if version != VERSION:
-        raise VersionUnsupported(f"container version {version}, expected {VERSION}")
+        raise VersionUnsupported(f"{path}: container version {version}, expected {VERSION}")
     (arch_len,) = rd.unpack("<I")
     try:
         arch = json.loads(rd.text(arch_len))
@@ -178,7 +180,8 @@ def _read_container(path: str) -> tuple[dict, list[TensorRecord]]:
         name = rd.text(name_len)
         dtype, encoding, rank = rd.unpack("<BBB")
         if dtype not in DTYPE_NAMES or encoding not in ENCODING_NAMES:
-            raise StoreError(f"tensor '{name}' has unknown dtype {dtype} or encoding {encoding}")
+            raise StoreError(f"{path}: tensor '{name}' has unknown dtype {dtype} "
+                             f"or encoding {encoding}")
         shape = rd.unpack(f"<{rank}I")
         scale, zero_point = rd.unpack("<fi") if dtype == DTYPE_I8 else (None, None)
         (payload_len,) = rd.unpack("<I")
@@ -190,15 +193,16 @@ def _read_container(path: str) -> tuple[dict, list[TensorRecord]]:
     if rd.off != len(rd.buf):
         raise StoreError(f"{path}: {len(rd.buf) - rd.off} bytes after the last record")
     if len({r.name for r in records}) != len(records):
-        raise StoreError("duplicate tensor names in container")
+        raise StoreError(f"{path}: duplicate tensor names in container")
     return arch, records
 
 
-def _arch_dict(layer_sizes, dropout_rate, tied, quant_range=None) -> dict:
+def _arch_dict(layer_sizes, dropout_rate, int8: bool = False) -> dict:
+    """The v1 architecture object, with its two fixed values."""
     arch = {"layer_sizes": list(layer_sizes), "dropout_rate": dropout_rate,
-            "tied_output_gate": tied}
-    if quant_range is not None:
-        arch["quant_range"] = list(quant_range)
+            "tied_output_gate": False}
+    if int8:
+        arch["quant_range"] = [Q_MIN, Q_MAX]
     return arch
 
 
@@ -209,8 +213,7 @@ def _save_float(net: NetworkParams, mask: SparsityMask | None, path: str) -> Non
         if keep is not None and np.any(arr[~keep.astype(bool)] != 0.0):
             raise MaskViolation(name)
         records.append(_record(name, arr, keep=keep))
-    _write_container(path, _arch_dict(net.layer_sizes, net.dropout_rate,
-                                      net.tied_output_gate), records)
+    _write_container(path, _arch_dict(net.layer_sizes, net.dropout_rate), records)
 
 
 def save_dense(net: NetworkParams, path: str) -> None:
@@ -225,16 +228,13 @@ def save_sparse(net: NetworkParams, mask: SparsityMask, path: str) -> None:
 
 def save_quantized(qm: QuantizedModel, path: str) -> None:
     """Int8 weights (bitmap-sparse when the model carries a mask), f32 biases."""
-    q_range = None
     records = []
     for name, qt in qm.weights.items():
-        q_range = (qt.params.q_min, qt.params.q_max)
         keep = qm.mask.masks.get(name) if qm.mask is not None else None
         records.append(_record(name, qt.values, DTYPE_I8, keep, scale=float(qt.params.scale),
                                zero_point=int(qt.params.zero_point)))
     records += [_record(name, arr) for name, arr in qm.biases.items()]
-    _write_container(path, _arch_dict(qm.layer_sizes, qm.dropout_rate,
-                                      qm.tied_output_gate, quant_range=q_range), records)
+    _write_container(path, _arch_dict(qm.layer_sizes, qm.dropout_rate, int8=True), records)
 
 
 def load_model(path: str) -> LoadedModel:
@@ -248,7 +248,7 @@ def load_model(path: str) -> LoadedModel:
     arch, records = _read_container(path)
     for r in records:
         if not r.crc_ok:
-            raise CrcMismatch(r.name)
+            raise CrcMismatch(path, r.name)
     try:
         return _assemble_model(arch, records)
     except (EdgenetError, LookupError, TypeError, ValueError, OverflowError) as exc:
@@ -261,8 +261,9 @@ def _assemble_model(arch: dict, records: list[TensorRecord]) -> LoadedModel:
     stored = sum(math.prod(r.shape) for r in records)
     if implied != stored:
         raise StoreError(f"layer_sizes {sizes} imply {implied} entries, the records hold {stored}")
-    template = zeros_params(sizes, dropout_rate=arch["dropout_rate"],
-                            tied_output_gate=arch["tied_output_gate"])
+    if arch["tied_output_gate"] is not False:
+        raise StoreError(f"tied_output_gate must be false, got {arch['tied_output_gate']!r}")
+    template = zeros_params(sizes, dropout_rate=arch["dropout_rate"])
     expected = {name: arr.shape for name, arr in template.tensors().items()}
     if {r.name: r.shape for r in records} != expected:
         raise StoreError("tensor names or shapes do not fit the architecture")
@@ -275,13 +276,13 @@ def _assemble_model(arch: dict, records: list[TensorRecord]) -> LoadedModel:
     if not int8:
         return LoadedModel(kind="float", params=template.with_tensors(values), mask=mask)
 
-    q_min, q_max = arch.get("quant_range", [-128, 127])
+    if arch.get("quant_range", [Q_MIN, Q_MAX]) != [Q_MIN, Q_MAX]:
+        raise StoreError(f"quant_range must be [{Q_MIN}, {Q_MAX}], got {arch['quant_range']!r}")
     weights = {r.name: QuantizedTensor(values[r.name], QuantParams(
-        scale=r.scale, zero_point=r.zero_point, q_min=q_min, q_max=q_max)) for r in int8}
+        scale=r.scale, zero_point=r.zero_point)) for r in int8}
     biases = {name: v for name, v in values.items() if name not in weights}
     qm = QuantizedModel(weights=weights, biases=biases, layer_sizes=template.layer_sizes,
-                        dropout_rate=template.dropout_rate,
-                        tied_output_gate=template.tied_output_gate, mask=mask)
+                        dropout_rate=template.dropout_rate, mask=mask)
     return LoadedModel(kind="quantized", qmodel=qm, mask=mask)
 
 

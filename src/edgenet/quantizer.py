@@ -1,7 +1,8 @@
 """Post-training dynamic-range quantization of weights to signed int8.
 
-Per-tensor affine mapping r ~ S * (q - Z). Calibration widens the observed
-range to include 0 so that real 0 maps exactly onto the zero point (pruned
+Per-tensor affine mapping r ~ S * (q - Z) onto the full int8 range
+[-128, 127]. Calibration takes each tensor's observed range, widened to
+include 0, so that real 0 maps exactly onto the zero point (pruned
 weights stay exactly zero through a round trip). Rounding is half-to-even
 for both q and Z. Biases are never quantized; activations and the cell
 state stay in floating point at inference time.
@@ -17,22 +18,20 @@ from .errors import ConfigError, EmptyTensor
 from .lstm_net import NetworkParams, forward_batch, is_weight_name, zeros_params
 from .pruning import SparsityMask
 
-Q_MIN_DEFAULT = -128
-Q_MAX_DEFAULT = 127
+Q_MIN = -128
+Q_MAX = 127
 
 
 @dataclass(frozen=True)
 class QuantParams:
     scale: float
     zero_point: int
-    q_min: int = Q_MIN_DEFAULT
-    q_max: int = Q_MAX_DEFAULT
 
     def __post_init__(self):
         if not (self.scale > 0.0 and np.isfinite(self.scale)):
             raise ConfigError(f"scale must be finite and > 0, got {self.scale}")
-        if not self.q_min <= self.zero_point <= self.q_max:
-            raise ConfigError(f"zero point {self.zero_point} outside [{self.q_min}, {self.q_max}]")
+        if not Q_MIN <= self.zero_point <= Q_MAX:
+            raise ConfigError(f"zero point {self.zero_point} outside [{Q_MIN}, {Q_MAX}]")
 
 
 @dataclass
@@ -49,7 +48,6 @@ class QuantizedModel:
     biases: dict[str, np.ndarray]
     layer_sizes: list[int]          # (input_dim, hidden_1, ..., hidden_L)
     dropout_rate: float = 0.1
-    tied_output_gate: bool = False
     mask: SparsityMask | None = None
 
 
@@ -61,28 +59,26 @@ def calibrate(tensor: np.ndarray) -> tuple[float, float]:
     return min(float(t.min()), 0.0), max(float(t.max()), 0.0)
 
 
-def make_quant_params(f_min: float, f_max: float, q_min: int = Q_MIN_DEFAULT,
-                      q_max: int = Q_MAX_DEFAULT) -> QuantParams:
-    """Scale S = (f_max - f_min) / (q_max - q_min); Z = round(q_min - f_min / S).
+def make_quant_params(f_min: float, f_max: float) -> QuantParams:
+    """Scale S = (f_max - f_min) / 255; Z = round(-128 - f_min / S).
 
-    A degenerate range (f_min == f_max) maps to S=1, Z=0.
+    A degenerate range (f_min == f_max), or one so narrow that S rounds to
+    0 in the container's float32 scale field, maps to S=1, Z=0.
     """
     if f_min > f_max:
         raise ConfigError(f"f_min {f_min} > f_max {f_max}")
-    if q_min >= q_max:
-        raise ConfigError(f"need q_min < q_max, got [{q_min}, {q_max}]")
-    if f_min == f_max:
-        return QuantParams(scale=1.0, zero_point=0, q_min=q_min, q_max=q_max)
-    scale = (f_max - f_min) / (q_max - q_min)
-    z = int(np.clip(np.rint(q_min - f_min / scale), q_min, q_max))
-    return QuantParams(scale=scale, zero_point=z, q_min=q_min, q_max=q_max)
+    scale = (f_max - f_min) / (Q_MAX - Q_MIN)
+    if np.float32(scale) == 0.0:
+        return QuantParams(scale=1.0, zero_point=0)
+    z = int(np.clip(np.rint(Q_MIN - f_min / scale), Q_MIN, Q_MAX))
+    return QuantParams(scale=scale, zero_point=z)
 
 
 def quantize(tensor: np.ndarray, params: QuantParams) -> QuantizedTensor:
-    """q = clamp(round_half_even(r / S + Z), q_min, q_max)."""
+    """q = clamp(round_half_even(r / S + Z), -128, 127)."""
     r = np.asarray(tensor, dtype=np.float64)
     q = np.rint(r / params.scale + params.zero_point)
-    q = np.clip(q, params.q_min, params.q_max).astype(np.int8)
+    q = np.clip(q, Q_MIN, Q_MAX).astype(np.int8)
     return QuantizedTensor(values=q, params=params)
 
 
@@ -92,27 +88,21 @@ def dequantize(qt: QuantizedTensor) -> np.ndarray:
     return qt.params.scale * (q - qt.params.zero_point)
 
 
-def quantize_model(net: NetworkParams, mask: SparsityMask | None = None,
-                   fixed_range: bool = False, q_min: int = Q_MIN_DEFAULT,
-                   q_max: int = Q_MAX_DEFAULT) -> QuantizedModel:
+def quantize_model(net: NetworkParams, mask: SparsityMask | None = None) -> QuantizedModel:
     """Quantize every weight matrix per-tensor; keep biases as float32.
 
-    ``fixed_range`` forces the calibration window to (-1, 1) instead of the
-    observed min/max. A mask, when given, travels with the model so sparse
-    containers can keep the bitmap encoding.
+    A mask, when given, travels with the model so sparse containers can keep
+    the bitmap encoding.
     """
     weights: dict[str, QuantizedTensor] = {}
     biases: dict[str, np.ndarray] = {}
     for name, arr in net.tensors().items():
         if is_weight_name(name):
-            f_min, f_max = (-1.0, 1.0) if fixed_range else calibrate(arr)
-            params = make_quant_params(f_min, f_max, q_min=q_min, q_max=q_max)
-            weights[name] = quantize(arr, params)
+            weights[name] = quantize(arr, make_quant_params(*calibrate(arr)))
         else:
             biases[name] = np.asarray(arr, dtype=np.float32)
     return QuantizedModel(weights=weights, biases=biases, layer_sizes=net.layer_sizes,
-                          dropout_rate=net.dropout_rate,
-                          tied_output_gate=net.tied_output_gate, mask=mask)
+                          dropout_rate=net.dropout_rate, mask=mask)
 
 
 def dequantized_net(qm: QuantizedModel) -> NetworkParams:
@@ -122,8 +112,7 @@ def dequantized_net(qm: QuantizedModel) -> NetworkParams:
         tree[name] = dequantize(qt)
     for name, arr in qm.biases.items():
         tree[name] = arr.astype(np.float64)
-    template = zeros_params(qm.layer_sizes, dropout_rate=qm.dropout_rate,
-                            tied_output_gate=qm.tied_output_gate)
+    template = zeros_params(qm.layer_sizes, dropout_rate=qm.dropout_rate)
     return template.with_tensors(tree)
 
 

@@ -134,12 +134,32 @@ class TestErrorPaths:
         assert "UnknownCategory" in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path, capsys):
+        # a typo, and the settings that were deleted: older demo configs
+        # carry them and must fail at load, naming the key
+        cases = {"seeed": {"seeed": 1},
+                 "architecture.tied_output_gate": {"architecture": {"tied_output_gate": False}},
+                 "quantization": {"quantization": {"q_min": -128, "q_max": 127,
+                                                   "fixed_range": False}},
+                 "early_stop.sparse": {"early_stop": {"sparse": False}}}
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seeed": 1}), encoding="utf-8")
-        rc = main(["preprocess", "--config", str(cfg), "--csv", "x.csv",
-                   "--out", str(tmp_path)])
-        assert rc == 1
-        assert "seeed" in capsys.readouterr().err
+        for key, doc in cases.items():
+            cfg.write_text(json.dumps(doc), encoding="utf-8")
+            rc = main(["preprocess", "--config", str(cfg), "--csv", "x.csv",
+                       "--out", str(tmp_path / "out")])
+            assert rc == 1, key
+            assert f"unknown config key(s): {key}\n" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_quantize_takes_no_config(self, tmp_path, capsys):
+        model = str(tmp_path / "m.eidm")
+        save_dense(zeros_params((3, 4), dropout_rate=0.0), model)
+        (tmp_path / "cfg.json").write_text("{}", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["quantize", model, str(tmp_path / "q.eidm"),
+                  "--config", str(tmp_path / "cfg.json")])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "q.eidm")
 
     def test_non_utf8_config_rejected(self, workdir, capsys):
         tmp, cfg, csv = workdir
@@ -377,8 +397,6 @@ BAD_CONFIG_VALUES = {
     "epochs_fraction": (("phases", "dense", "epochs"), 2.9, "phases.dense.epochs"),
     "seed_fraction": (("seed",), 1.5, "seed"),
     "layers_string": (("architecture", "layers"), "abc", "architecture.layers"),
-    "tied_gate_string": (("architecture", "tied_output_gate"), "false",
-                         "architecture.tied_output_gate"),
     "learning_rate_bool": (("phases", "sparse", "learning_rate"), True,
                            "phases.sparse.learning_rate"),
     "ratios_not_list": (("split", "ratios"), 0.8, "split.ratios"),

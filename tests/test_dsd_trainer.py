@@ -168,13 +168,11 @@ class TestSparsePhase:
 class TestReductionOrder:
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_sparse_batch_matches_a_per_gate_reference_step(self, seed):
-        """One sparse-phase batch with SWD active, clipping firing and a tied
-        output gate equals, bit for bit, the step taken one gate tensor at a
-        time, with every penalty and norm summed tensor by tensor in
-        ``tensors()`` order."""
+        """One sparse-phase batch with SWD active and clipping firing equals,
+        bit for bit, the step taken one gate tensor at a time, with every
+        penalty and norm summed tensor by tensor in ``tensors()`` order."""
         tr, _, _ = toy_data(n=80)
-        net = init_params((10, 32, 32, 32), seed=seed, dropout_rate=0.1,
-                          tied_output_gate=True)
+        net = init_params((10, 32, 32, 32), seed=seed, dropout_rate=0.1)
         start = net.copy()
         lr, mu, clip, sparsity = 20.0, 1e-3, 1e-3, 0.5
         swd = Pruning(initial_sparsity=sparsity, final_sparsity=sparsity, a0=0.05, mu=mu)
@@ -211,7 +209,10 @@ class TestReductionOrder:
             assert 0 < vals.size < flat.size
             twd += float(mu * np.sum(vals * vals))
             grads[n][sel] += a * (2.0 * mu * vals)
-        norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        sq = 0.0
+        for g in grads.values():
+            sq += float(np.sum(g * g))
+        norm = np.sqrt(sq)
         assert norm > clip
         for name, g in grads.items():
             g *= clip / norm
@@ -309,12 +310,15 @@ class TestTrainDsd:
             dense=Phase(learning_rate=0.1, epochs=40, batch_size=64),
             sparse=Phase(learning_rate=0.01, epochs=2, batch_size=64),
             redense=Phase(learning_rate=0.001, epochs=25, batch_size=64),
-            early_stop=EarlyStop(patience=2, dense=True, sparse=False, redense=True),
+            early_stop=EarlyStop(patience=2, dense=True, redense=True),
         )
         net, run = train_dsd(cfg, tr, va)
         n_dense = sum(r.phase == "dense" for r in run.records)
         n_redense = sum(r.phase == "redense" for r in run.records)
         assert n_dense < 40 or n_redense < 25  # some phase stopped early
+        # the sparse phase never stops early: its ramp reaches final_sparsity
+        assert [r.sparsity for r in run.records if r.phase == "sparse"] == [0.25, 0.8]
+        assert run.final_mask.zero_fraction() == pytest.approx(0.8, abs=0.01)
         # restored parameters reproduce the best recorded validation AUC
         redense_aucs = [r.val_auc for r in run.records if r.phase == "redense"]
         from edgenet.metrics import roc_curve

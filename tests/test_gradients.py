@@ -13,10 +13,9 @@ from oracles import finite_difference_gradients, gradient_agreement
 
 
 def check_net(seed: int, layer_sizes, seq_len: int, dropout: float,
-              tied: bool = False, batch: int = 2) -> float:
+              batch: int = 2) -> float:
     rng = np.random.default_rng(seed)
-    net = init_params(layer_sizes, seed=seed, dropout_rate=dropout,
-                      tied_output_gate=tied)
+    net = init_params(layer_sizes, seed=seed, dropout_rate=dropout)
     x = rng.random((batch, seq_len, layer_sizes[0]))
     y = rng.integers(0, 2, size=batch).astype(np.float64)
     mask_seed = seed + 10_000
@@ -29,9 +28,9 @@ def check_net(seed: int, layer_sizes, seq_len: int, dropout: float,
     return worst
 
 
-@pytest.mark.parametrize("tied,dropout", [(False, 0.0), (True, 0.0), (False, 0.37)])
-def test_zero_state_step_alone_at_seq_len_1(tied, dropout):
-    check_net(61, (3, 4, 4), seq_len=1, dropout=dropout, tied=tied, batch=3)
+@pytest.mark.parametrize("dropout", [0.0, 0.37])
+def test_zero_state_step_alone_at_seq_len_1(dropout):
+    check_net(61, (3, 4, 4), seq_len=1, dropout=dropout, batch=3)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -50,21 +49,6 @@ def test_three_layer_stack():
 @pytest.mark.parametrize("seed", [21, 22])
 def test_gradients_through_frozen_dropout_masks(seed):
     check_net(seed, (3, 4, 4), seq_len=2, dropout=0.37)
-
-
-@pytest.mark.parametrize("seed", [31, 32])
-def test_tied_output_gate_gradients(seed):
-    check_net(seed, (3, 4, 4), seq_len=2, dropout=0.0, tied=True)
-
-
-def test_tied_output_gate_leaves_w_o_gradient_zero():
-    rng = np.random.default_rng(41)
-    net = init_params((3, 4), seed=41, dropout_rate=0.0, tied_output_gate=True)
-    x = rng.random((2, 1, 3))
-    _, cache = forward_batch(net, x, mode="train")
-    grads = backward(net, cache, np.array([1.0, 0.0])).tensors()
-    np.testing.assert_array_equal(grads["layer0.w_o"], np.zeros_like(grads["layer0.w_o"]))
-    np.testing.assert_array_equal(grads["layer0.b_o"], np.zeros_like(grads["layer0.b_o"]))
 
 
 def test_seq_len_1_moves_forget_gate_and_recurrent_columns_by_l2_alone():

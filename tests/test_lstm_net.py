@@ -17,13 +17,13 @@ def zero_layer(h=1, d=1, b=None):
                            b=np.zeros(4 * h) if b is None else np.asarray(b, dtype=float))
 
 
-def cell(layer, x_t, h_prev, c_prev, tied=False):
+def cell(layer, x_t, h_prev, c_prev):
     """One step on single vectors; returns (h, c, gates) with the gate
-    blocks split out as f, i, j, z plus tanh(c)."""
+    blocks split out as f, i, j, o plus tanh(c)."""
     h, c, gates, tanh_c = _cell_math(layer, np.atleast_2d(x_t), np.atleast_2d(h_prev),
-                                     np.atleast_2d(c_prev), tied)
-    f, i, j, z = np.split(gates[0], 4)
-    return h[0], c[0], {"f": f, "i": i, "j": j, "z": z, "tanh_c": tanh_c[0]}
+                                     np.atleast_2d(c_prev))
+    f, i, j, o = np.split(gates[0], 4)
+    return h[0], c[0], {"f": f, "i": i, "j": j, "o": o, "tanh_c": tanh_c[0]}
 
 
 def prob(net, sequence, mode="eval", rng=None):
@@ -79,7 +79,7 @@ class TestCellForward:
         h, c, g = cell(zero_layer(), np.zeros(1), np.zeros(1), np.zeros(1))
         assert g["f"] == pytest.approx(0.5)
         assert g["i"] == pytest.approx(0.5)
-        assert g["z"] == pytest.approx(0.5)
+        assert g["o"] == pytest.approx(0.5)
         assert g["j"] == pytest.approx(0.0)
         assert c == pytest.approx(0.0) and h == pytest.approx(0.0)
 
@@ -103,7 +103,7 @@ class TestCellForward:
             _, c, g = cell(net.layers[0], x, hp, cp)
             assert np.all((g["f"] > 0) & (g["f"] < 1))
             assert np.all((g["i"] > 0) & (g["i"] < 1))
-            assert np.all((g["z"] > 0) & (g["z"] < 1))
+            assert np.all((g["o"] > 0) & (g["o"] < 1))
             assert np.all((g["j"] > -1) & (g["j"] < 1))
             assert np.all(np.abs(c) <= np.abs(cp) + 1.0 + 1e-12)
 
@@ -126,26 +126,24 @@ class TestCellForward:
         def logistic(v):
             return 1.0 / (1.0 + np.exp(-v))
 
-        for tied, z_pre in ((False, o), (True, j)):
-            h, c, g = cell(layer, x, hp, cp, tied=tied)
-            np.testing.assert_allclose(g["f"], logistic(f), rtol=1e-13)
-            np.testing.assert_allclose(g["i"], logistic(i), rtol=1e-13)
-            np.testing.assert_allclose(g["j"], np.tanh(j), rtol=1e-13)
-            np.testing.assert_allclose(g["z"], logistic(z_pre), rtol=1e-13)
-            c_ref = logistic(f) * cp + logistic(i) * np.tanh(j)
-            np.testing.assert_allclose(c, c_ref, rtol=1e-13)
-            np.testing.assert_allclose(h, logistic(z_pre) * np.tanh(c_ref), rtol=1e-13)
+        h, c, g = cell(layer, x, hp, cp)
+        np.testing.assert_allclose(g["f"], logistic(f), rtol=1e-13)
+        np.testing.assert_allclose(g["i"], logistic(i), rtol=1e-13)
+        np.testing.assert_allclose(g["j"], np.tanh(j), rtol=1e-13)
+        np.testing.assert_allclose(g["o"], logistic(o), rtol=1e-13)
+        c_ref = logistic(f) * cp + logistic(i) * np.tanh(j)
+        np.testing.assert_allclose(c, c_ref, rtol=1e-13)
+        np.testing.assert_allclose(h, logistic(o) * np.tanh(c_ref), rtol=1e-13)
 
-    @pytest.mark.parametrize("tied", [False, True])
-    def test_zero_state_step_equals_the_general_step_on_zeros(self, tied):
+    def test_zero_state_step_equals_the_general_step_on_zeros(self):
         rng = np.random.default_rng(2)
         layer = init_params((5, 6), seed=7).layers[0]
         layer.b[...] = rng.normal(size=24)
         x, zeros = rng.normal(size=(3, 5)), np.zeros((3, 6))
-        h0, c0, gates0, tanh_c0 = _cell_math(layer, x, None, None, tied)
-        h, c, gates, tanh_c = _cell_math(layer, x, zeros, zeros, tied)
+        h0, c0, gates0, tanh_c0 = _cell_math(layer, x, None, None)
+        h, c, gates, tanh_c = _cell_math(layer, x, zeros, zeros)
         assert gates0.shape == (3, 18) and gates.shape == (3, 24)
-        np.testing.assert_allclose(gates0, gates[:, 6:], rtol=1e-12)  # i, j, z blocks
+        np.testing.assert_allclose(gates0, gates[:, 6:], rtol=1e-12)  # i, j, o blocks
         np.testing.assert_allclose(c0, c, rtol=1e-12)
         np.testing.assert_allclose(h0, h, rtol=1e-12)
         np.testing.assert_allclose(tanh_c0, tanh_c, rtol=1e-12)
@@ -167,12 +165,11 @@ class TestForward:
     def test_train_equals_eval_without_dropout(self):
         # bit for bit: eval skips only the cache, not any arithmetic
         for seq_len in (1, 3):
-            for tied in (False, True):
-                net = init_params((3, 4, 4), seed=9, dropout_rate=0.0, tied_output_gate=tied)
-                x = np.random.default_rng(seq_len).random((5, seq_len, 3))
-                p_eval, _ = forward_batch(net, x, mode="eval")
-                p_train, _ = forward_batch(net, x, mode="train")
-                np.testing.assert_array_equal(p_eval, p_train)
+            net = init_params((3, 4, 4), seed=9, dropout_rate=0.0)
+            x = np.random.default_rng(seq_len).random((5, seq_len, 3))
+            p_eval, _ = forward_batch(net, x, mode="eval")
+            p_train, _ = forward_batch(net, x, mode="train")
+            np.testing.assert_array_equal(p_eval, p_train)
 
     def test_eval_mode_bit_identical(self):
         net = init_params((5, 8), seed=11)
@@ -259,10 +256,11 @@ class TestBackward:
         assert grads["head.b"] != 0.0
 
     def test_gradients_are_shaped_like_the_network(self):
-        net = init_params((3, 4, 4), seed=13, dropout_rate=0.0, tied_output_gate=True)
-        _, cache = forward_batch(net, np.ones((2, 1, 3)), mode="train")
+        net = init_params((3, 4, 4), seed=13, dropout_rate=0.3)
+        _, cache = forward_batch(net, np.ones((2, 1, 3)), mode="train",
+                                 rng=np.random.default_rng(0))
         grads = backward(net, cache, np.array([1.0, 0.0]))
-        assert isinstance(grads, NetworkParams) and grads.tied_output_gate
+        assert isinstance(grads, NetworkParams) and grads.dropout_rate == 0.3
         assert grads.layer_sizes == net.layer_sizes
 
     def test_eval_cache_rejected(self):
@@ -329,20 +327,6 @@ class TestParamsTree:
         names = net.weight_names()
         assert "layer0.w_f" in names and "head.w" in names
         assert not any(n.endswith(".b_f") or n == "head.b" for n in names)
-
-    def test_tied_flag_is_preserved(self):
-        net = init_params((3, 4), seed=0, tied_output_gate=True)
-        assert net.with_tensors(net.tensors()).tied_output_gate
-
-    def test_tied_gate_uses_candidate_weights(self):
-        net = init_params((3, 4), seed=3, dropout_rate=0.0, tied_output_gate=True)
-        x = np.random.default_rng(1).random((2, 3))
-        p1, _ = prob(net, x, mode="eval")
-        tree = net.tensors()
-        tree["layer0.w_o"][...] = 0.0  # must not matter when tied
-        tree["layer0.b_o"][...] = 0.0
-        p2, _ = prob(net, x, mode="eval")
-        assert p1 == p2
 
     def test_tensors_are_views_into_the_stacked_gates(self):
         net = init_params((3, 4, 2), seed=4)

@@ -50,7 +50,6 @@ class TestDense:
             np.testing.assert_array_equal(back.tensors()[name],
                                           arr.astype(np.float32).astype(np.float64))
         assert back.dropout_rate == net.dropout_rate
-        assert back.tied_output_gate == net.tied_output_gate
 
     def test_payload_is_four_bytes_per_weight(self, tmp_path):
         net = small_net()
@@ -68,8 +67,9 @@ class TestDense:
         blob = bytearray(open(path, "rb").read())
         blob[len(blob) // 2] ^= 0xFF  # inside some payload
         open(path, "wb").write(bytes(blob))
-        with pytest.raises((CrcMismatch, StoreError)):
+        with pytest.raises((CrcMismatch, StoreError)) as exc:
             load_model(path)
+        assert str(exc.value).count(path) == 1
 
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "junk.eidm")
@@ -84,17 +84,23 @@ class TestDense:
         blob = bytearray(open(path, "rb").read())
         blob[4] = 99
         open(path, "wb").write(bytes(blob))
-        with pytest.raises(VersionUnsupported):
+        with pytest.raises(VersionUnsupported) as exc:
             load_model(path)
+        assert str(exc.value).count(path) == 1
 
-    def test_truncated_file(self, tmp_path):
+    def test_truncated_file(self, tmp_path, capsys):
         net = small_net()
         path = str(tmp_path / "m.eidm")
         save_dense(net, path)
+        save_dense(net, str(tmp_path / "base.eidm"))
         blob = open(path, "rb").read()
         open(path, "wb").write(blob[: len(blob) - 7])
-        with pytest.raises(StoreError):
+        with pytest.raises(StoreError) as exc:
             load_model(path)
+        assert str(exc.value).count(path) == 1
+        # a report over several files says which one is short
+        assert main(["size-report", "--baseline", str(tmp_path / "base.eidm"), path]) == 3
+        assert capsys.readouterr().err == f"error: {path}: truncated file\n"
 
     def test_no_temp_file_left_behind(self, tmp_path):
         net = small_net()
@@ -249,6 +255,10 @@ MALFORMED = {
     "negative_int8_scale": ("int8", b"layer0.w_f", 3 + 4 * 2, struct.pack("<f", -1.0)),
     "nan_int8_scale": ("int8", b"layer0.w_f", 3 + 4 * 2, struct.pack("<f", float("nan"))),
     "gate_shape_mismatch": ("dense", b"layer0.w_i", 3, struct.pack("<2I", 7, 4)),
+    # the v1 header's two fixed values: any other one is refused, not ignored
+    "tied_output_gate_true": ("dense", b'"tied_output_gate":', 0, b"true "),
+    "int8_quant_range_narrowed": ("int8", b'"quant_range":[', 0, b"-100,100"),
+    "int8_quant_range_symmetric": ("int8", b'"quant_range":[', 0, b"-127,127"),
 }
 
 
@@ -307,6 +317,7 @@ HEADER_FAULTS = {
     "arch_not_utf8": lambda b: _with_arch(b, b'{"\xff":1}'),
     "arch_not_json": lambda b: _with_arch(b, b"{layer_sizes"),
     "arch_not_object": lambda b: _with_arch(b, b"[3,4,4]"),
+    "duplicate_name": lambda b: _patch_after(b, b"layer0.w_i", -1, b"f"),
 }
 
 
@@ -326,11 +337,13 @@ class TestHeaderFaults:
         with open(path, "wb") as fh:
             fh.write(blob)
         for read in (load_model, inspect):
-            with pytest.raises(StoreError):
+            with pytest.raises(StoreError) as exc:
                 read(path)
+            assert str(exc.value).count(path) == 1
         assert main(["dump", path]) == 3
         assert main(["predict", path, "--features", "0.1,0.2,0.3"]) == 3
-        assert capsys.readouterr().err.count("error: ") == 2
+        err = capsys.readouterr().err
+        assert err.count("error: ") == 2 and err.count(path) == 2
 
     def test_every_byte_flip_is_a_store_error_or_a_model(self, tmp_path):
         path = self.pruned_int8(tmp_path)

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgenet.cli import main
 from edgenet.errors import ConfigError, EmptyTensor
 from edgenet.lstm_net import init_params, scores, zeros_params
+from edgenet.model_store import save_dense
 from edgenet.pruning import apply_masks, compute_masks
 from edgenet.quantizer import (QuantParams, calibrate, dequantize,
                                dequantized_net, make_quant_params, quantize,
@@ -43,6 +45,20 @@ class TestQuantParams:
     def test_degenerate_range(self):
         qp = make_quant_params(0.5, 0.5)
         assert qp.scale == 1.0 and qp.zero_point == 0
+
+    def test_scale_that_is_zero_in_float32_maps_like_an_empty_range(self, tmp_path):
+        """The container stores S as float32; a range so narrow that S
+        rounds to 0 there takes S=1, Z=0, so the saved model loads."""
+        qp = make_quant_params(-0.5e-44, 1e-44)
+        assert (qp.scale, qp.zero_point) == (1.0, 0)
+        assert make_quant_params(0.0, 255 * 1.5e-45).scale == 1.5e-45  # float32 > 0
+
+        net = init_params((3, 4), seed=0)
+        net.head_w[...] = 1e-44 * np.array([1.0, -0.5, 0.25, 0.0])
+        dense, int8 = str(tmp_path / "f.eidm"), str(tmp_path / "q.eidm")
+        save_dense(net, dense)
+        assert main(["quantize", dense, int8]) == 0
+        assert main(["predict", int8, "--features", "0.1,0.2,0.3"]) == 0
 
     def test_zero_point_clamped(self):
         qp = make_quant_params(0.0, 1e-30)
@@ -133,12 +149,6 @@ class TestQuantizeModel:
         for name, m in mask.masks.items():
             vals = back.tensors()[name]
             assert np.all(vals[~m.astype(bool)] == 0.0)
-
-    def test_fixed_range_uses_unit_window(self):
-        net = init_params((3, 4), seed=1)
-        qm = quantize_model(net, fixed_range=True)
-        for qt in qm.weights.values():
-            assert (qt.params.scale, qt.params.zero_point) == (2 / 255, 0)
 
     def test_quantized_close_to_float_on_random_nets(self):
         rng = np.random.default_rng(123)
