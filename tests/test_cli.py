@@ -397,6 +397,9 @@ BAD_CONFIG_VALUES = {
     "epochs_fraction": (("phases", "dense", "epochs"), 2.9, "phases.dense.epochs"),
     "seed_fraction": (("seed",), 1.5, "seed"),
     "layers_string": (("architecture", "layers"), "abc", "architecture.layers"),
+    # a deleted setting: any value for it is now an unknown key
+    "tied_gate_string": (("architecture", "tied_output_gate"), "false",
+                         "architecture.tied_output_gate"),
     "learning_rate_bool": (("phases", "sparse", "learning_rate"), True,
                            "phases.sparse.learning_rate"),
     "ratios_not_list": (("split", "ratios"), 0.8, "split.ratios"),
