@@ -150,6 +150,9 @@ def load_csv(path: str, schema: FeatureSchema) -> RawTable:
             missing = [c.name for c in schema.columns if c.name not in header]
             if missing:
                 raise MissingColumn(missing)
+            twice = [c.name for c in schema.columns if header.count(c.name) > 1]
+            if twice:
+                raise BadCsv(f"{path}: CSV header names column(s) twice: {', '.join(twice)}")
             records = list(reader)
         except StopIteration:
             raise EmptyFile(f"{path} is empty") from None

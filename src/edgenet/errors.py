@@ -38,7 +38,8 @@ class ParseError(EdgenetError):
 
 
 class BadCsv(EdgenetError):
-    """Not CSV text: a byte that is not UTF-8, or a field over the size limit."""
+    """Not usable CSV text: a byte that is not UTF-8, a field over the size
+    limit, or a header that names a schema column twice."""
 
 
 class EmptySplit(EdgenetError):

@@ -10,11 +10,12 @@ Every sequence starts from the zero state h_prev = c_prev = 0, so its first
 step (t = 0, and at the default ``seq_len`` 1 the only step) is computed
 without the forget gate, which multiplies c_prev, and without the recurrent
 columns W[:, :H], which multiply h_prev: the step is
-``x_0 @ W[H:, H:].T + b[H:]`` into a [B, 3H] gate array (i, j, o), and its
-cache holds that array and no h_prev or c_prev. Backward at t = 0 likewise
-touches only rows i, j, o and the input columns, so the f rows and W[:, :H]
-get an exactly zero loss gradient from that step (at ``seq_len`` 1 only L2
-and SWD move them). Steps t >= 1 use the full [4H] gate array.
+``x_0 @ W[H:, H:].T + b[H:]`` into a [B, 3H] gate array (i, j, o). Backward
+at t = 0 likewise touches only rows i, j, o and the input columns, so the f
+rows and W[:, :H] get an exactly zero loss gradient from that step (at
+``seq_len`` 1 only L2 and SWD move them). Steps t >= 1 use the full [4H]
+gate array. Forward and backward both know the zero state by
+``c_prev is None`` and slice the same H rows and columns off.
 
 ``NetworkParams.tensors()`` views each gate block as ``layer{i}.w_{gate}``
 and ``layer{i}.b_{gate}``, then ``head.w``, ``head.b``: the names containers,
@@ -27,16 +28,18 @@ Dropout is the inverted kind and is applied to each layer's output stream
 (the values fed upward to the next layer or the head), not to the in-layer
 recurrence. Training math is float64 end to end.
 
-Only a train-mode forward records the per-step cache that ``backward`` reads
-(inputs, h_prev, c_prev, gates, tanh_c and dropout scales for every layer and
-step). Eval mode, which every scoring path uses, records none of it and drops
-each step's input once the step has used it, so it never holds more than one
-layer's output sequence plus the step in flight.
+Only a train-mode forward records what ``backward`` reads: one tuple
+(step_in, c_prev, gates, tanh_c, out_scale) per layer and step, where
+step_in is the very array the step multiplied by the stacked weight (x_0,
+then [h_prev, x_t]). Eval mode, which every scoring path uses, records none
+of it, replaces each layer's input sequence step by step with its output and
+carries only h and c from one step to the next, so it never holds more than
+one layer's sequence plus the step in flight.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,8 +167,11 @@ def zeros_params(layer_sizes, dropout_rate: float = 0.1) -> NetworkParams:
     sizes = list(layer_sizes)
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise ConfigError(f"layer_sizes needs input plus >=1 positive hidden size, got {sizes}")
-    layers = [LstmLayerParams(w=np.zeros((4 * h, h + d)), b=np.zeros(4 * h))
-              for d, h in zip(sizes[:-1], sizes[1:])]
+    try:
+        layers = [LstmLayerParams(w=np.zeros((4 * h, h + d)), b=np.zeros(4 * h))
+                  for d, h in zip(sizes[:-1], sizes[1:])]
+    except (MemoryError, ValueError) as exc:  # ValueError: "array is too big"
+        raise ConfigError(f"cannot allocate layer sizes {sizes}: {exc}") from None
     return NetworkParams(layers=layers, head_w=np.zeros(sizes[-1]), head_b=np.zeros(()),
                          dropout_rate=dropout_rate)
 
@@ -186,23 +192,13 @@ def init_params(layer_sizes, seed: int, dropout_rate: float = 0.1) -> NetworkPar
 # --- forward ---
 
 @dataclass
-class LayerCache:
-    inputs: list = field(default_factory=list)    # x_t after lower dropout, (B, D)
-    h_prev: list = field(default_factory=list)    # (B, H); undropped recurrence, None at t = 0
-    c_prev: list = field(default_factory=list)
-    gates: list = field(default_factory=list)     # activated f, i, j, o (B, 4H); i, j, o (B, 3H) at t = 0
-    tanh_c: list = field(default_factory=list)
-    out_scale: list = field(default_factory=list)  # inverted-dropout mask or None
-
-
-@dataclass
 class ForwardCache:
-    mode: str
-    layers: list[LayerCache]  # one per layer in train mode, empty in eval mode
+    # train mode: per layer, per step (step_in, c_prev, gates, tanh_c, out_scale);
+    # step_in is the array the stacked weight multiplied, c_prev None at t = 0
+    # and out_scale the inverted-dropout mask or None. Eval mode: [].
+    steps: list[list[tuple]]
     head_input: np.ndarray  # (B, H_last), post-dropout
     p: np.ndarray           # (B,)
-    batch_size: int
-    seq_len: int
 
 
 def _gate_scale(hdim: int) -> np.ndarray:
@@ -213,24 +209,21 @@ def _gate_scale(hdim: int) -> np.ndarray:
     return s
 
 
-def _cell_math(layer: LstmLayerParams, x_t, h_prev, c_prev):
-    """One step for a batch. Returns (h, c, gates, tanh_c) with ``gates`` the
-    activated [B, 4H] array: blocks f, i, j and o.
+def _cell_math(layer: LstmLayerParams, step_in, c_prev):
+    """One step for a batch. ``step_in`` is [h_prev, x_t], or x_t alone on
+    the zero state ``c_prev = None``. Returns (h, c, gates, tanh_c) with
+    ``gates`` the activated [B, 4H] array: blocks f, i, j and o.
 
-    ``h_prev = c_prev = None`` is the zero state of a sequence's first step:
-    the forget gate multiplies c_prev = 0 and the recurrent columns W[:, :H]
-    multiply h_prev = 0, so only the i, j and o rows are computed, from the
-    input columns, and ``gates`` is [B, 3H] with blocks i, j, o.
+    On the zero state the forget gate multiplies c_prev = 0 and the recurrent
+    columns W[:, :H] multiply h_prev = 0, so only the i, j and o rows are
+    computed, from the input columns, and ``gates`` is [B, 3H] with blocks
+    i, j, o.
     """
     hdim = layer.hidden_size
-    s = _gate_scale(hdim)
-    if h_prev is None:
-        s = s[hdim:]
-        gates = x_t @ layer.w[hdim:, hdim:].T
-        gates += layer.b[hdim:]
-    else:
-        gates = np.concatenate([h_prev, x_t], axis=1) @ layer.w.T
-        gates += layer.b
+    skip = hdim if c_prev is None else 0
+    s = _gate_scale(hdim)[skip:]
+    gates = step_in @ layer.w[skip:, skip:].T
+    gates += layer.b[skip:]
     gates *= s
     np.tanh(gates, out=gates)
     gates *= s
@@ -249,10 +242,11 @@ def forward_batch(net: NetworkParams, x: np.ndarray, mode: str = "eval",
 
     Initial hidden and cell states are zero. In train mode each layer's
     output stream gets an independent inverted dropout mask per element,
-    drawn from ``rng``, and the returned cache holds every layer's per-step
-    values for ``backward``. Eval mode records no step cache (its
-    ``ForwardCache.layers`` is empty, which ``backward`` rejects) and drops
-    each layer's input sequence step by step as it is consumed.
+    drawn from ``rng``, and ``ForwardCache.steps`` holds one record per
+    layer and step for ``backward``. Eval mode records none (``steps`` is
+    empty, which ``backward`` rejects), replaces each layer's input
+    sequence step by step with its output, and carries only h and c from
+    one step to the next.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -261,43 +255,33 @@ def forward_batch(net: NetworkParams, x: np.ndarray, mode: str = "eval",
         raise DimensionMismatch(f"expected (batch, time, features), got shape {x.shape}")
     if x.shape[2] != net.input_size:
         raise DimensionMismatch(f"{x.shape[2]} features, network wants {net.input_size}")
-    batch, seq_len = x.shape[0], x.shape[1]
     rate = net.dropout_rate if mode == "train" else 0.0
     if rate > 0.0 and rng is None:
         raise ConfigError("train-mode forward with dropout needs an rng")
 
-    caches: list[LayerCache] = []
-    cur = [x[:, t, :] for t in range(seq_len)]
+    steps: list[list[tuple]] = []
+    cur = [x[:, t, :] for t in range(x.shape[1])]
     for layer in net.layers:
-        lc = LayerCache()
-        hdim = layer.hidden_size
+        records = []
         h = c = None  # zero state
-        outs = []
-        for t in range(seq_len):
-            inp, cur[t] = cur[t], None  # the cache, if any, holds the only reference
-            h_prev, c_prev = h, c
-            h, c, gates, tanh_c = _cell_math(layer, inp, h, c)
+        for t in range(len(cur)):
+            step_in = cur[t] if c is None else np.concatenate([h, cur[t]], axis=1)
+            cur[t], c_prev = None, c  # step_in holds the input from here on
+            h, c, gates, tanh_c = _cell_math(layer, step_in, c_prev)
             scale = None
             if rate > 0.0:
-                keep = (rng.random((batch, hdim)) >= rate)
-                scale = keep / (1.0 - rate)
+                scale = (rng.random(h.shape) >= rate) / (1.0 - rate)
             if mode == "train":
-                lc.inputs.append(inp)
-                lc.h_prev.append(h_prev)
-                lc.c_prev.append(c_prev)
-                lc.gates.append(gates)
-                lc.tanh_c.append(tanh_c)
-                lc.out_scale.append(scale)
-            outs.append(h if scale is None else h * scale)
+                records.append((step_in, c_prev, gates, tanh_c, scale))
+            cur[t] = h if scale is None else h * scale
+            # past this step only the record, if any, holds these arrays
+            step_in = c_prev = gates = tanh_c = None
         if mode == "train":
-            caches.append(lc)
-        cur = outs
+            steps.append(records)
 
     head_input = cur[-1]
     p = sigmoid(head_input @ net.head_w + net.head_b)
-    cache = ForwardCache(mode=mode, layers=caches, head_input=head_input, p=p,
-                         batch_size=batch, seq_len=seq_len)
-    return p, cache
+    return p, ForwardCache(steps=steps, head_input=head_input, p=p)
 
 
 def bce_loss(p, y):
@@ -314,16 +298,15 @@ def backward(net: NetworkParams, cache: ForwardCache, y) -> NetworkParams:
 
     The cache must come from a train-mode forward on this architecture.
     """
-    if cache.mode != "train":
+    if not cache.steps:
         raise CacheMismatch("backward needs a train-mode forward cache")
-    if len(cache.layers) != len(net.layers):
+    if len(cache.steps) != len(net.layers):
         raise CacheMismatch("cache does not match the network architecture")
-    for lc, layer in zip(cache.layers, net.layers):
-        if lc.tanh_c[0].shape[1] != layer.hidden_size:
+    for records, layer in zip(cache.steps, net.layers):
+        if records[0][3].shape[1] != layer.hidden_size:
             raise CacheMismatch("cache hidden sizes do not match the network")
 
-    batch = cache.batch_size
-    seq_len = cache.seq_len
+    batch, seq_len = len(cache.p), len(cache.steps[0])
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     if y.shape != (batch,):
         raise DimensionMismatch(f"labels shape {y.shape} != ({batch},)")
@@ -344,18 +327,17 @@ def backward(net: NetworkParams, cache: ForwardCache, y) -> NetworkParams:
     d_out[seq_len - 1] = d_out_top
 
     for idx in range(len(net.layers) - 1, -1, -1):
-        layer, lc, g_layer = net.layers[idx], cache.layers[idx], grads.layers[idx]
+        layer, records, g_layer = net.layers[idx], cache.steps[idx], grads.layers[idx]
         hdim = layer.hidden_size
         d_inputs = [None] * seq_len
         dh_rec = np.zeros((batch, hdim))
         dc_next = np.zeros((batch, hdim))
         for t in range(seq_len - 1, -1, -1):
-            scale = lc.out_scale[t]
+            step_in, c_prev, gates, tanh_c, scale = records[t]
             dh = (d_out[t] * scale if scale is not None else d_out[t]) + dh_rec
-            gates, tanh_c = lc.gates[t], lc.tanh_c[t]
-            # H at t = 0, whose zero state reached only rows i, j, o through
+            # H on the zero state, which reached only rows i, j, o through
             # the input columns: f and W[:, :H] get no loss gradient there.
-            skip = 4 * hdim - gates.shape[1]
+            skip = hdim if c_prev is None else 0
             i_, j_, o_ = (slice(k * hdim - skip, (k + 1) * hdim - skip) for k in (1, 2, 3))
             dc = dc_next + dh * gates[:, o_] * (1.0 - tanh_c * tanh_c)
             # d(loss)/d(gate activation), then through sigmoid or tanh
@@ -363,12 +345,9 @@ def backward(net: NetworkParams, cache: ForwardCache, y) -> NetworkParams:
             d_pre[:, i_] = dc * gates[:, j_]
             d_pre[:, j_] = dc * gates[:, i_]
             d_pre[:, o_] = dh * tanh_c
-            if t:
-                d_pre[:, :hdim] = dc * lc.c_prev[t]
+            if c_prev is not None:
+                d_pre[:, :hdim] = dc * c_prev
                 dc_next = dc * gates[:, :hdim]
-                step_in = np.concatenate([lc.h_prev[t], lc.inputs[t]], axis=1)
-            else:
-                step_in = lc.inputs[0]
             slope = gates * (1.0 - gates)
             slope[:, j_] = 1.0 - gates[:, j_] * gates[:, j_]
             d_pre *= slope

@@ -92,11 +92,13 @@ def quantize_model(net: NetworkParams, mask: SparsityMask | None = None) -> Quan
     """Quantize every weight matrix per-tensor; keep biases as float32.
 
     A mask, when given, travels with the model so sparse containers can keep
-    the bitmap encoding.
+    the bitmap encoding. A tensor holding NaN or +-inf is a ConfigError.
     """
     weights: dict[str, QuantizedTensor] = {}
     biases: dict[str, np.ndarray] = {}
     for name, arr in net.tensors().items():
+        if not np.isfinite(arr).all():
+            raise ConfigError(f"cannot quantize tensor '{name}': it holds NaN or inf")
         if is_weight_name(name):
             weights[name] = quantize(arr, make_quant_params(*calibrate(arr)))
         else:

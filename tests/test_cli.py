@@ -11,7 +11,7 @@ from edgenet.cli import build_parser, main
 from edgenet.config import RunConfig, config_from_dict
 from edgenet.data_pipeline import (ColumnSpec, DatasetSplit, FeatureSchema, save_dataset,
                                    split_indices)
-from edgenet.lstm_net import zeros_params
+from edgenet.lstm_net import init_params, zeros_params
 from edgenet.model_store import save_dense
 from edgenet.synthetic import config_dict, make_synthetic, write_csv
 
@@ -369,6 +369,47 @@ class TestErrorPaths:
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "ConfigError" in captured.err
+
+    @pytest.mark.parametrize("tensor,value", [("head.w", np.nan), ("layer0.w_i", np.inf),
+                                              ("layer0.b_o", np.nan)],
+                             ids=["nan_weight", "inf_weight", "nan_bias"])
+    def test_non_finite_tensor_not_quantized(self, tmp_path, capsys, tensor, value):
+        net = init_params((3, 4), seed=0, dropout_rate=0.0)
+        net.tensors()[tensor][...] = value
+        model, out = str(tmp_path / "m.eidm"), tmp_path / "q.eidm"
+        save_dense(net, model)
+        assert main(["quantize", model, str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "ConfigError" in captured.err
+        assert f"'{tensor}'" in captured.err and "NaN or inf" in captured.err
+        assert not out.exists()
+
+    def test_schema_column_named_twice_rejected(self, workdir, capsys):
+        def second_f0(blob):
+            lines = blob.split(b"\n")
+            return b"\n".join([lines[0] + b",f0"] + [l + b",0.5" for l in lines[1:] if l]) + b"\n"
+
+        rc, err = self.preprocess_edited(workdir, capsys, second_f0)
+        assert rc == 1
+        assert "BadCsv" in err and "twice: f0" in err
+
+    @pytest.mark.parametrize("hidden", [10 ** 8, 10 ** 9])
+    def test_unallocatable_architecture_exit_1(self, workdir, capsys, hidden):
+        # numpy refuses both sizes before touching any memory
+        tmp, cfg, csv = workdir
+        doc = json.loads(open(cfg).read())
+        doc["architecture"]["hidden"] = hidden
+        big_cfg = tmp / "big.json"
+        big_cfg.write_text(json.dumps(doc), encoding="utf-8")
+        data, out = str(tmp / "data"), tmp / "m"
+        assert main(["preprocess", "--config", cfg, "--csv", csv, "--out", data]) == 0
+        capsys.readouterr()
+        rc = main(["train", "--config", str(big_cfg), "--data", data, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert "ConfigError" in captured.err
+        assert f"cannot allocate layer sizes [10, {hidden}, {hidden}]" in captured.err
+        assert not out.exists()
 
     def test_divergence_exit_code(self, workdir):
         tmp, cfg, csv = workdir

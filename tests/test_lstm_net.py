@@ -20,8 +20,8 @@ def zero_layer(h=1, d=1, b=None):
 def cell(layer, x_t, h_prev, c_prev):
     """One step on single vectors; returns (h, c, gates) with the gate
     blocks split out as f, i, j, o plus tanh(c)."""
-    h, c, gates, tanh_c = _cell_math(layer, np.atleast_2d(x_t), np.atleast_2d(h_prev),
-                                     np.atleast_2d(c_prev))
+    step_in = np.concatenate([np.atleast_2d(h_prev), np.atleast_2d(x_t)], axis=1)
+    h, c, gates, tanh_c = _cell_math(layer, step_in, np.atleast_2d(c_prev))
     f, i, j, o = np.split(gates[0], 4)
     return h[0], c[0], {"f": f, "i": i, "j": j, "o": o, "tanh_c": tanh_c[0]}
 
@@ -32,11 +32,11 @@ def prob(net, sequence, mode="eval", rng=None):
     return float(p[0]), cache
 
 
-def output_h(layer_cache, t):
-    """h_t of a cached layer: the output gate block, the last H columns of
-    either gate layout, times tanh(c_t)."""
-    hdim = layer_cache.tanh_c[t].shape[1]
-    return layer_cache.gates[t][:, -hdim:] * layer_cache.tanh_c[t]
+def output_h(records, t):
+    """h_t of a cached layer's step records: the output gate block, the last
+    H columns of either gate layout, times tanh(c_t)."""
+    _, _, gates, tanh_c, _ = records[t]
+    return gates[:, -tanh_c.shape[1]:] * tanh_c
 
 
 class TestInit:
@@ -140,8 +140,8 @@ class TestCellForward:
         layer = init_params((5, 6), seed=7).layers[0]
         layer.b[...] = rng.normal(size=24)
         x, zeros = rng.normal(size=(3, 5)), np.zeros((3, 6))
-        h0, c0, gates0, tanh_c0 = _cell_math(layer, x, None, None)
-        h, c, gates, tanh_c = _cell_math(layer, x, zeros, zeros)
+        h0, c0, gates0, tanh_c0 = _cell_math(layer, x, None)
+        h, c, gates, tanh_c = _cell_math(layer, np.concatenate([zeros, x], axis=1), zeros)
         assert gates0.shape == (3, 18) and gates.shape == (3, 24)
         np.testing.assert_allclose(gates0, gates[:, 6:], rtol=1e-12)  # i, j, o blocks
         np.testing.assert_allclose(c0, c, rtol=1e-12)
@@ -151,9 +151,10 @@ class TestCellForward:
     def test_first_step_caches_no_zero_state(self):
         net = init_params((2, 3), seed=1, dropout_rate=0.0)
         _, cache = forward_batch(net, np.ones((4, 2, 2)), mode="train")
-        lc = cache.layers[0]
-        assert lc.h_prev[0] is None and lc.c_prev[0] is None
-        assert [g.shape for g in lc.gates] == [(4, 9), (4, 12)]
+        records = cache.steps[0]
+        assert records[0][1] is None and records[1][1] is not None  # c_prev
+        assert [r[0].shape for r in records] == [(4, 2), (4, 5)]  # x_0, then [h_0, x_1]
+        assert [r[2].shape for r in records] == [(4, 9), (4, 12)]  # gates
 
 
 class TestForward:
@@ -188,18 +189,19 @@ class TestForward:
         reps = 10_000
         xb = np.repeat(x[None, :, :], reps, axis=0)
         _, cache = forward_batch(net, xb, mode="train", rng=np.random.default_rng(77))
-        h = output_h(cache.layers[0], 0)
+        h = output_h(cache.steps[0], 0)
         np.testing.assert_array_equal(h, np.broadcast_to(h[0], h.shape))
         assert float(sigmoid(h[:1] @ net.head_w + net.head_b)[0]) == pytest.approx(
             p_eval, rel=1e-12)
-        dropped = h * cache.layers[0].out_scale[0]
+        dropped = h * cache.steps[0][0][4]
         mc_mean = dropped.mean(axis=0)
         mc_sem = dropped.std(axis=0) / np.sqrt(reps)
         np.testing.assert_array_less(np.abs(mc_mean - h[0]), 5 * mc_sem + 1e-12)
 
     def test_eval_forward_peak_memory(self):
         # The train-mode cache of this batch holds about 240 MB; scoring it
-        # needs one layer's outputs (12 MB) plus one step's gates.
+        # needs one layer's sequence (12 MB), h and c, plus one step in
+        # flight: step_in, gates and the new c and h (about 18 MB).
         net = init_params((7, 32, 32, 32), seed=1)
         x = np.random.default_rng(2).random((8000, 6, 7))
         tracemalloc.start()
@@ -208,7 +210,7 @@ class TestForward:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64e6
+        assert peak < 34e6
 
     def test_train_mode_without_rng_rejected(self):
         net = init_params((3, 4), seed=0, dropout_rate=0.1)
@@ -267,7 +269,7 @@ class TestBackward:
         # eval mode records no step cache at all
         net = init_params((3, 4, 4), seed=0, dropout_rate=0.0)
         p, cache = forward_batch(net, np.zeros((2, 3, 3)), mode="eval")
-        assert cache.mode == "eval" and cache.layers == [] and cache.p is p
+        assert cache.steps == [] and cache.p is p
         with pytest.raises(CacheMismatch):
             backward(net, cache, np.array([1.0, 0.0]))
 
