@@ -20,7 +20,7 @@ import numpy as np
 from . import data_pipeline as dp
 from . import model_store as store
 from .config import RunConfig, load_config
-from .dsd_trainer import to_sequences, train_dsd
+from .dsd_trainer import train_dsd
 from .errors import (ConfigError, EdgenetError, EmptySplit, NonFiniteLoss,
                      NonFiniteScore, SingleClassInput, StoreError)
 from .lstm_net import scores as float_scores
@@ -95,23 +95,13 @@ def cmd_quantize(model_in: str, model_out: str) -> int:
 def _model_scores(loaded: store.LoadedModel, features: np.ndarray) -> np.ndarray:
     """Scores for every row; a NaN or infinite score is an error, never a label."""
     if loaded.kind == "quantized":
-        seq = to_sequences(features, _seq_len_for(loaded.qmodel.layer_sizes[0], features))
-        p = quantized_scores(loaded.qmodel, seq)
+        p = quantized_scores(loaded.qmodel, features)
     else:
-        seq = to_sequences(features, _seq_len_for(loaded.params.input_size, features))
-        p = float_scores(loaded.params, seq)
+        p = float_scores(loaded.params, features)
     bad = np.count_nonzero(~np.isfinite(p))
     if bad:
         raise NonFiniteScore(f"the model scored {bad} of {len(p)} rows as NaN or infinite")
     return p
-
-
-def _seq_len_for(input_dim: int, features: np.ndarray) -> int:
-    n_feat = features.shape[1]
-    if n_feat % input_dim != 0:
-        raise ConfigError(f"dataset has {n_feat} features; model expects a "
-                          f"multiple of {input_dim}")
-    return n_feat // input_dim
 
 
 def cmd_evaluate(model_path: str, data_path: str, threshold: float,

@@ -16,8 +16,8 @@ import json
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 
-from .data_pipeline import FeatureSchema, check_json_object, check_ratios
-from .errors import ConfigError
+from .data_pipeline import FeatureSchema, check_json_object
+from .errors import BadRatios, ConfigError
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,12 @@ class Split:
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
 
     def __post_init__(self):
-        check_ratios(self.ratios)
+        if len(self.ratios) != 3:
+            raise BadRatios(f"need exactly three ratios, got {len(self.ratios)}")
+        if any(x <= 0.0 for x in self.ratios):
+            raise BadRatios(f"ratios must be positive, got {self.ratios}")
+        if abs(sum(self.ratios) - 1.0) > 1e-9:
+            raise BadRatios(f"ratios must sum to 1, got {sum(self.ratios)}")
 
 
 @dataclass(frozen=True)
@@ -99,12 +104,11 @@ class Pruning:
 
 @dataclass(frozen=True)
 class EarlyStop:
-    """Patience on validation AUC and an enable flag per phase that stops
-    early; the sparse phase always runs its ramp to ``final_sparsity``."""
+    """Patience on validation AUC. Early stopping always runs in the dense
+    and re-dense phases and never in the sparse one, which runs its whole
+    ramp to ``final_sparsity``."""
 
     patience: int = 5
-    dense: bool = True
-    redense: bool = True
 
     def __post_init__(self):
         if self.patience < 1:

@@ -19,7 +19,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import (BadCsv, BadMagic, BadRatios, ConfigError, EmptyFile,
+from .errors import (BadCsv, BadMagic, ConfigError, EmptyFile,
                      MissingColumn, ParseError, ScaleOverflow, StoreError,
                      UnknownCategory, VersionUnsupported)
 
@@ -146,6 +146,8 @@ def load_csv(path: str, schema: FeatureSchema) -> RawTable:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
+            if fh.read(1) != "\ufeff":  # plain utf-8 keeps a byte-order mark as text
+                fh.seek(0)
             header = [h.strip() for h in next(reader)]
             missing = [c.name for c in schema.columns if c.name not in header]
             if missing:
@@ -270,20 +272,10 @@ def apply_transform(table: RawTable, schema: FeatureSchema, enc: EncodingMap,
     return DatasetSplit(features=feats, labels=table.arrays[schema.label_column][rows])
 
 
-def check_ratios(ratios) -> tuple[float, float, float]:
-    if len(ratios) != 3:
-        raise BadRatios(f"need exactly three ratios, got {len(ratios)}")
-    r = tuple(float(x) for x in ratios)
-    if any(x <= 0.0 for x in r):
-        raise BadRatios(f"ratios must be positive, got {r}")
-    if abs(sum(r) - 1.0) > 1e-9:
-        raise BadRatios(f"ratios must sum to 1, got {sum(r)}")
-    return r
-
-
 def split_indices(n_rows: int, ratios, seed: int):
-    """Deterministic seeded shuffle, then partition by the first two ratios."""
-    r1, r2, _ = check_ratios(ratios)
+    """Deterministic seeded shuffle, then partition by the first two of the
+    three ratios, which ``config.Split`` checks."""
+    r1, r2, _ = ratios
     perm = np.random.default_rng(seed).permutation(n_rows)
     n1 = int(n_rows * r1)
     n2 = int(n_rows * r2)

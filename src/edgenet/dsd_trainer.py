@@ -30,7 +30,7 @@ from .config import RunConfig
 from .data_pipeline import DatasetSplit
 from .errors import ConfigError, NonFiniteLoss, SingleClassInput
 from .lstm_net import (NetworkParams, backward, bce_loss, forward_batch,
-                       init_params, is_weight_name, stack_rows)
+                       init_params, is_weight_name, scores, stack_rows, to_sequences)
 from .metrics import roc_curve
 from .optimizer import ParamTree, SgdmState, l2_term, sgdm_step
 from .pruning import (SparsityMask, apply_masks, compute_masks, schedule_a,
@@ -79,14 +79,6 @@ class TrainRun:
         return "\n".join(lines) + "\n"
 
 
-def to_sequences(features: np.ndarray, seq_len: int) -> np.ndarray:
-    """Reshape (n, F) feature rows into (n, T, F/T) sequences."""
-    n, f = features.shape
-    if f % seq_len != 0:
-        raise ConfigError(f"{f} features not divisible by sequence length {seq_len}")
-    return features.reshape(n, seq_len, f // seq_len)
-
-
 def _clip_global_norm(grads: ParamTree, clip: float) -> None:
     """Scale the gradients in place so their global L2 norm is at most ``clip``."""
     sq = 0.0  # a plain loop: the built-in sum() of floats is compensated from Python 3.12 on
@@ -102,8 +94,7 @@ def _clip_global_norm(grads: ParamTree, clip: float) -> None:
 def _validate(net: NetworkParams, run: TrainRun) -> tuple[float, float]:
     if run.val is None or len(run.val) == 0:
         return float("nan"), float("nan")
-    x = to_sequences(run.val.features, run.cfg.architecture.seq_len)
-    p, _ = forward_batch(net, x, mode="eval")
+    p = scores(net, run.val.features)
     loss = float(np.mean(bce_loss(p, run.val.labels.astype(np.float64))))
     try:
         auc = roc_curve(p, run.val.labels).auc
@@ -117,11 +108,10 @@ def _run_phase(net: NetworkParams, data: DatasetSplit, run: TrainRun, phase: str
     ``run.cfg`` gives ``phase``. The sparse phase leaves its final mask in
     ``run.final_mask``; the re-dense phase reports that mask's sparsity."""
     cfg, swd = getattr(run.cfg.phases, phase), run.cfg.pruning
-    early_enabled = phase != PHASE_SPARSE and getattr(run.cfg.early_stop, phase)
     rows = net.rows()
     weights = [k for k in rows if is_weight_name(k)]
     state = SgdmState.init(rows, alpha=run.cfg.phases.momentum, eta=cfg.learning_rate)
-    x_seq = to_sequences(data.features, run.cfg.architecture.seq_len)
+    x_seq = to_sequences(data.features, net.input_size)
     y = data.labels.astype(np.float64)
     n = len(y)
 
@@ -195,7 +185,7 @@ def _run_phase(net: NetworkParams, data: DatasetSplit, run: TrainRun, phase: str
             err=err_m, wd=wd_m, a_twd=twd_m, val_loss=val_loss, val_auc=val_auc,
             sparsity=report_sparsity, a=a))
 
-        if early_enabled and run.val is not None:
+        if phase != PHASE_SPARSE and run.val is not None:
             metric = val_auc if np.isfinite(val_auc) else -np.inf
             if metric > best_metric:
                 best_metric = metric

@@ -79,10 +79,6 @@ class EmptyTensor(EdgenetError):
     pass
 
 
-class EpochOutOfRange(EdgenetError):
-    pass
-
-
 # --- metrics ---
 
 class LengthMismatch(EdgenetError):

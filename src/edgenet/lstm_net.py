@@ -359,10 +359,20 @@ def backward(net: NetworkParams, cache: ForwardCache, y) -> NetworkParams:
     return grads
 
 
-def scores(net: NetworkParams, x: np.ndarray) -> np.ndarray:
-    """Eval-mode probabilities for a batch (B, T, D) or feature matrix (B, D)."""
+def to_sequences(x: np.ndarray, input_size: int) -> np.ndarray:
+    """Feature rows (B, F) as T = F / input_size steps of ``input_size``
+    inputs, shape (B, T, input_size); a batch (B, T, D) passes unchanged."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 2:
-        x = x[:, None, :]
-    p, _ = forward_batch(net, x, mode="eval")
+    if x.ndim != 2:
+        return x
+    n_feat = x.shape[1]
+    if n_feat % input_size != 0:
+        raise ConfigError(f"dataset has {n_feat} features; model expects a "
+                          f"multiple of {input_size}")
+    return x.reshape(len(x), n_feat // input_size, input_size)
+
+
+def scores(net: NetworkParams, x: np.ndarray) -> np.ndarray:
+    """Eval-mode probabilities for feature rows (B, F) or a batch (B, T, D)."""
+    p, _ = forward_batch(net, to_sequences(x, net.input_size), mode="eval")
     return p

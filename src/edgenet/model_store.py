@@ -281,6 +281,9 @@ def _assemble_model(arch: dict, records: list[TensorRecord]) -> LoadedModel:
     weights = {r.name: QuantizedTensor(values[r.name], QuantParams(
         scale=r.scale, zero_point=r.zero_point)) for r in int8}
     biases = {name: v for name, v in values.items() if name not in weights}
+    for name, v in biases.items():  # a bad container, not a bad score
+        if not np.isfinite(v).all():
+            raise StoreError(f"float32 tensor '{name}' of an int8 model holds NaN or inf")
     qm = QuantizedModel(weights=weights, biases=biases, layer_sizes=template.layer_sizes,
                         dropout_rate=template.dropout_rate, mask=mask)
     return LoadedModel(kind="quantized", qmodel=qm, mask=mask)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch
+from .errors import DimensionMismatch
 
 ParamTree = dict[str, np.ndarray]
 
@@ -36,17 +36,11 @@ class SgdmState:
     """Momentum state: the previous per-tensor parameter change."""
 
     delta_prev: ParamTree
-    alpha: float = 0.9
-    eta: float = 0.1
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha < 1.0:
-            raise ConfigError(f"momentum alpha must be in [0, 1), got {self.alpha}")
-        if self.eta < 0.0:
-            raise ConfigError(f"learning rate must be >= 0, got {self.eta}")
+    alpha: float
+    eta: float
 
     @classmethod
-    def init(cls, params: ParamTree, alpha: float = 0.9, eta: float = 0.1) -> "SgdmState":
+    def init(cls, params: ParamTree, alpha: float, eta: float) -> "SgdmState":
         return cls(delta_prev={name: np.zeros_like(arr) for name, arr in params.items()},
                    alpha=alpha, eta=eta)
 
@@ -65,8 +59,6 @@ def l2_term(weights: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
     """L2 penalty mu * sum(w^2) of each row (a 1-D tensor is one row) and
     its gradient 2*mu*w. Each row is summed on its own, bit for bit its gate
     tensor's sum; the caller adds the rows in order and leaves out biases."""
-    if mu < 0.0:
-        raise ConfigError(f"weight-decay coefficient must be >= 0, got {mu}")
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim not in (1, 2):
         raise DimensionMismatch(f"need one tensor (1-D) or rows (2-D), got shape {w.shape}")

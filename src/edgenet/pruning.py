@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import Pruning
-from .errors import ConfigError, DimensionMismatch, EmptyTensor, EpochOutOfRange
+from .errors import DimensionMismatch, EmptyTensor
 
 ParamTree = dict[str, np.ndarray]
 
@@ -44,8 +44,6 @@ def compute_mask(w: np.ndarray, sparsity: float) -> np.ndarray:
     w = np.asarray(w)
     if w.size == 0:
         raise EmptyTensor("cannot prune an empty tensor")
-    if not 0.0 <= sparsity < 1.0:
-        raise ConfigError(f"sparsity must be in [0, 1), got {sparsity}")
     k = _survivor_count(w.size, sparsity)
     mask = np.zeros(w.size, dtype=np.uint8)
     mask[np.argsort(-np.abs(w), axis=None, kind="stable")[:k]] = 1
@@ -86,10 +84,6 @@ def select_swd_subset(w: np.ndarray, mask: np.ndarray, a: float,
     survivors with |w| > a, the ceil(t * m) smallest magnitudes (ties broken
     by flat index), which SWD pushes to 0.
     """
-    if a < 0.0:
-        raise ConfigError(f"a must be >= 0, got {a}")
-    if not 0.0 < t <= 1.0:
-        raise ConfigError(f"t must be in (0, 1], got {t}")
     w = np.asarray(w)
     mask = np.asarray(mask)
     if w.shape != mask.shape:
@@ -108,8 +102,6 @@ def total_weight_decay(w: np.ndarray, sel: np.ndarray,
                        mu: float) -> tuple[np.ndarray, np.ndarray]:
     """TWD = mu * sum(w^2) over each row's selection, and its gradient 2*mu*w
     at ``w[sel]``. The caller scales both by a and adds the rows in order."""
-    if mu < 0.0:
-        raise ConfigError(f"mu must be >= 0, got {mu}")
     w = np.asarray(w, dtype=np.float64)
     sel = np.asarray(sel, dtype=bool)
     sq = _rows(w * w)
@@ -119,8 +111,6 @@ def total_weight_decay(w: np.ndarray, sel: np.ndarray,
 
 def schedule_sparsity(epoch: int, pruning: Pruning, epochs: int) -> float:
     """Linear ramp from initial to final sparsity over ``epochs`` epochs."""
-    if not 0 <= epoch < epochs:
-        raise EpochOutOfRange(f"epoch {epoch} outside [0, {epochs})")
     if epochs == 1:
         return pruning.final_sparsity
     return (pruning.initial_sparsity
@@ -129,6 +119,4 @@ def schedule_sparsity(epoch: int, pruning: Pruning, epochs: int) -> float:
 
 def schedule_a(epoch: int, pruning: Pruning) -> float:
     """Geometric growth a0 * growth^epoch, capped at the target threshold T."""
-    if epoch < 0:
-        raise EpochOutOfRange(f"epoch must be >= 0, got {epoch}")
     return min(pruning.a0 * pruning.a_growth ** epoch, pruning.target_threshold)

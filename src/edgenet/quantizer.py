@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EmptyTensor
-from .lstm_net import NetworkParams, forward_batch, is_weight_name, zeros_params
+from .lstm_net import (NetworkParams, forward_batch, is_weight_name, to_sequences,
+                       zeros_params)
 from .pruning import SparsityMask
 
 Q_MIN = -128
@@ -119,9 +120,7 @@ def dequantized_net(qm: QuantizedModel) -> NetworkParams:
 
 
 def quantized_scores(qm: QuantizedModel, x: np.ndarray) -> np.ndarray:
-    """Eval probabilities for a batch (B, T, D) or feature matrix (B, D)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 2:
-        x = x[:, None, :]
+    """Eval probabilities for feature rows (B, F) or a batch (B, T, D)."""
+    x = to_sequences(x, qm.layer_sizes[0])
     p, _ = forward_batch(dequantized_net(qm), x, mode="eval")
     return p

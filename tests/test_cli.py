@@ -12,7 +12,8 @@ from edgenet.config import RunConfig, config_from_dict
 from edgenet.data_pipeline import (ColumnSpec, DatasetSplit, FeatureSchema, save_dataset,
                                    split_indices)
 from edgenet.lstm_net import init_params, zeros_params
-from edgenet.model_store import save_dense
+from edgenet.model_store import save_dense, save_quantized
+from edgenet.quantizer import quantize_model
 from edgenet.synthetic import config_dict, make_synthetic, write_csv
 
 
@@ -384,6 +385,48 @@ class TestErrorPaths:
         assert f"'{tensor}'" in captured.err and "NaN or inf" in captured.err
         assert not out.exists()
 
+    def test_non_finite_bias_in_int8_container_exit_3(self, tmp_path, capsys):
+        # quantize never writes one, but a container from elsewhere may hold it
+        qm = quantize_model(init_params((3, 4), seed=0, dropout_rate=0.0))
+        qm.biases["layer0.b_o"][0] = np.nan
+        model, out = str(tmp_path / "q.eidm"), tmp_path / "q2.eidm"
+        save_quantized(qm, model)
+        for command in (["quantize", model, str(out)],
+                        ["predict", model, "--features", "0.5,0.5,0.5"]):
+            assert main(command) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and model in captured.err
+            assert "'layer0.b_o'" in captured.err and "NaN or inf" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["float", "int8"])
+    def test_width_not_a_multiple_of_the_input_size_exit_1(self, tmp_path, capsys, kind):
+        net = init_params((3, 4), seed=0, dropout_rate=0.0)
+        model, data = str(tmp_path / "m.eidm"), str(tmp_path / "d.eidd")
+        if kind == "int8":
+            save_quantized(quantize_model(net), model)
+        else:
+            save_dense(net, model)
+        save_dataset(DatasetSplit(features=np.full((4, 4), 0.5), labels=np.array([0, 1, 0, 1])),
+                     data)
+        for command in (["evaluate", model, data],
+                        ["predict", model, "--features", "0.1,0.2,0.3,0.4"]):
+            assert main(command) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "dataset has 4 features; model expects a multiple of 3" in captured.err
+
+    @pytest.mark.parametrize("first", [b"f0", b'"f0"'], ids=["bare", "quoted"])
+    def test_byte_order_mark_before_the_header(self, workdir, first):
+        tmp, cfg, csv = workdir
+        bom_csv = tmp / "bom.csv"
+        bom_csv.write_bytes(b"\xef\xbb\xbf" + first + open(csv, "rb").read()[2:])
+        for name, path in (("plain", csv), ("bom", str(bom_csv))):
+            assert main(["preprocess", "--config", cfg, "--csv", path,
+                         "--out", str(tmp / name)]) == 0
+        for name in ("train.eidd", "val.eidd", "test.eidd", "sidecar.json"):
+            assert (tmp / "bom" / name).read_bytes() == (tmp / "plain" / name).read_bytes()
+
     def test_schema_column_named_twice_rejected(self, workdir, capsys):
         def second_f0(blob):
             lines = blob.split(b"\n")
@@ -441,6 +484,11 @@ BAD_CONFIG_VALUES = {
     # a deleted setting: any value for it is now an unknown key
     "tied_gate_string": (("architecture", "tied_output_gate"), "false",
                          "architecture.tied_output_gate"),
+    "early_stop_dense_removed": (("early_stop", "dense"), True, "early_stop.dense"),
+    "momentum_one": (("phases", "momentum"), 1.0, "phases: momentum must be in [0, 1)"),
+    "mu_negative": (("pruning", "mu"), -0.1, "pruning: mu must be >= 0"),
+    "target_threshold_zero": (("pruning", "target_threshold"), 0,
+                              "pruning: target_threshold must be in (0, 1]"),
     "learning_rate_bool": (("phases", "sparse", "learning_rate"), True,
                            "phases.sparse.learning_rate"),
     "ratios_not_list": (("split", "ratios"), 0.8, "split.ratios"),
@@ -470,6 +518,20 @@ class TestConfigTypes:
         assert rc == 1
         err = capsys.readouterr().err
         assert "ConfigError" in err and name in err
+        assert not os.path.exists(tmp / "out")
+
+    @pytest.mark.parametrize("ratios", [[0.8, 0.1, 0.2], [1.0, 0.0, 0.0]],
+                             ids=["sum_above_one", "zero_ratio"])
+    def test_bad_ratios_exit_1(self, workdir, capsys, ratios):
+        tmp, cfg, csv = workdir
+        doc = json.loads(open(cfg).read())
+        doc["split"]["ratios"] = ratios
+        bad_cfg = tmp / "bad.json"
+        bad_cfg.write_text(json.dumps(doc), encoding="utf-8")
+        rc = main(["preprocess", "--config", str(bad_cfg), "--csv", csv,
+                   "--out", str(tmp / "out")])
+        assert rc == 1
+        assert "BadRatios" in capsys.readouterr().err
         assert not os.path.exists(tmp / "out")
 
     def test_seq_len_must_divide_the_selected_features(self, workdir, capsys):

@@ -13,7 +13,7 @@ from edgenet.data_pipeline import (ColumnSpec, DatasetSplit, EncodingMap,
                                    fit_label_encoding, fit_minmax, load_csv,
                                    load_dataset, save_dataset,
                                    save_sidecar, split_indices)
-from edgenet.errors import (BadRatios, ConfigError, EmptyFile, MissingColumn,
+from edgenet.errors import (ConfigError, EmptyFile, MissingColumn,
                             ParseError, ScaleOverflow, StoreError, UnknownCategory)
 
 
@@ -301,12 +301,6 @@ class TestSplit:
         merged = np.concatenate([tr, va, te])
         assert len(merged) == n
         assert len(np.unique(merged)) == n
-
-    def test_bad_ratios(self):
-        with pytest.raises(BadRatios):
-            split_indices(10, (0.8, 0.1, 0.2), seed=0)
-        with pytest.raises(BadRatios):
-            split_indices(10, (1.0, 0.0, 0.0), seed=0)
 
 
 class TestDatasetFile:

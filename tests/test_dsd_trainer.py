@@ -6,10 +6,10 @@ import pytest
 from edgenet.config import Architecture, EarlyStop, Phase, Phases, Pruning, RunConfig
 from edgenet.data_pipeline import DatasetSplit, split_indices
 from edgenet.dsd_trainer import (PHASE_DENSE, PHASE_REDENSE, PHASE_SPARSE,
-                                 TrainRun, _run_phase, to_sequences, train_dsd)
+                                 TrainRun, _run_phase, train_dsd)
 from edgenet.errors import ConfigError, NonFiniteLoss
 from edgenet.lstm_net import (NetworkParams, backward, bce_loss, forward_batch,
-                              init_params, scores)
+                              init_params, scores, to_sequences)
 from edgenet.optimizer import SgdmState, l2_term, sgdm_step
 from edgenet.pruning import compute_masks
 from edgenet.synthetic import make_synthetic
@@ -52,12 +52,13 @@ def small_cfg(seed, early_stop=EarlyStop(), **phases):
 class TestHelpers:
     def test_to_sequences_shape(self):
         x = np.arange(24, dtype=np.float64).reshape(4, 6)
-        seq = to_sequences(x, 3)
+        seq = to_sequences(x, 2)
         assert seq.shape == (4, 3, 2)
         np.testing.assert_array_equal(seq[0, 0], [0, 1])
+        assert to_sequences(seq, 2) is seq  # a (B, T, D) batch passes unchanged
 
     def test_to_sequences_divisibility(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="5 features; model expects a multiple of 2"):
             to_sequences(np.zeros((2, 5)), 2)
 
     def test_phase_config_validation(self):
@@ -91,7 +92,7 @@ class TestDensePhase:
         # identical PRNG streams reproduce the exact batch order and masks
         ref = make_run(9)
         order = ref.shuffle_rng.permutation(len(tr))
-        x_seq = to_sequences(tr.features, 1)[order]
+        x_seq = to_sequences(tr.features, start.input_size)[order]
         y = tr.labels.astype(np.float64)[order]
         _, cache = forward_batch(start, x_seq, mode="train", rng=ref.dropout_rng)
         grads = backward(start, cache, y).tensors()
@@ -188,8 +189,8 @@ class TestReductionOrder:
         ref = make_run(17)
         order = ref.shuffle_rng.permutation(len(tr))
         y = tr.labels.astype(np.float64)[order]
-        p, cache = forward_batch(start, to_sequences(tr.features, 1)[order], mode="train",
-                                 rng=ref.dropout_rng)
+        p, cache = forward_batch(start, to_sequences(tr.features, start.input_size)[order],
+                                 mode="train", rng=ref.dropout_rng)
         err = float(np.mean(bce_loss(p, y)))
         grads = {k: v.copy() for k, v in backward(start, cache, y).tensors().items()}
         wd = 0.0
@@ -310,7 +311,7 @@ class TestTrainDsd:
             dense=Phase(learning_rate=0.1, epochs=40, batch_size=64),
             sparse=Phase(learning_rate=0.01, epochs=2, batch_size=64),
             redense=Phase(learning_rate=0.001, epochs=25, batch_size=64),
-            early_stop=EarlyStop(patience=2, dense=True, redense=True),
+            early_stop=EarlyStop(patience=2),
         )
         net, run = train_dsd(cfg, tr, va)
         n_dense = sum(r.phase == "dense" for r in run.records)

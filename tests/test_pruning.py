@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgenet.config import Pruning
-from edgenet.errors import ConfigError, DimensionMismatch, EmptyTensor, EpochOutOfRange
+from edgenet.errors import ConfigError, DimensionMismatch, EmptyTensor
 from edgenet.lstm_net import init_params
 from edgenet.pruning import (apply_mask, compute_mask, compute_masks,
                              schedule_a, schedule_sparsity, select_swd_subset,
@@ -46,10 +46,6 @@ class TestMask:
     def test_empty_tensor(self):
         with pytest.raises(EmptyTensor):
             compute_mask(np.array([]), 0.5)
-
-    def test_sparsity_range(self):
-        with pytest.raises(ConfigError):
-            compute_mask(W_EXAMPLE, 1.0)
 
     def test_signed_zeros_tie_in_flat_order(self):
         w = np.array([-0.0, 0.5, 0.0, -0.0])
@@ -210,10 +206,6 @@ class TestSchedules:
 
     def test_single_epoch_jumps_to_final(self):
         assert schedule_sparsity(0, Pruning(final_sparsity=0.8), 1) == pytest.approx(0.8)
-
-    def test_epoch_out_of_range(self):
-        with pytest.raises(EpochOutOfRange):
-            schedule_sparsity(10, Pruning(), 10)
 
     def test_a_growth(self):
         cfg = Pruning(a0=0.001, a_growth=1.2, target_threshold=0.5)
