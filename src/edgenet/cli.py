@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -166,14 +167,25 @@ def _accuracy_from_metrics_csv(path: str) -> float:
         raise ConfigError(f"{path} is not a metrics CSV (missing Acc% column)") from None
 
 
-def cmd_predict(model_path: str, features_arg: str, threshold: float) -> int:
-    loaded = store.load_model(model_path)
+def _parse_features(features_arg: str) -> np.ndarray:
+    """The ``--features`` values; each must be a number in [0, 1], the range
+    ``preprocess`` scales every feature into."""
     try:
-        values = np.array([float(v) for v in features_arg.split(",")])
+        values = [float(v) for v in features_arg.split(",")]
     except ValueError:
         raise ConfigError("--features must be a comma-separated list of numbers") from None
-    if not np.all(np.isfinite(values)):
+    if not all(map(math.isfinite, values)):
         raise ConfigError("--features must be finite numbers (no nan or inf)")
+    for k, v in enumerate(values):
+        if not 0.0 <= v <= 1.0:
+            raise ConfigError(f"--features value {k + 1} of {len(values)} is {v!r}, "
+                              "outside [0, 1]")
+    return np.array(values)
+
+
+def cmd_predict(model_path: str, features_arg: str, threshold: float) -> int:
+    values = _parse_features(features_arg)  # before the model file is read
+    loaded = store.load_model(model_path)
     p = float(_model_scores(loaded, values[None, :])[0])
     label = int(p >= threshold)
     print(json.dumps({"probability": p, "label": label}))
@@ -233,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="classify one record")
     p.add_argument("model")
-    p.add_argument("--features", required=True, help="comma-separated normalized values")
+    p.add_argument("--features", required=True,
+                   help="comma-separated normalized values, each in [0, 1] (else exit 1)")
     p.add_argument("--threshold", type=float, default=0.5)
 
     p = sub.add_parser("dump", help="print a container's tensor table")

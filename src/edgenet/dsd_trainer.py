@@ -79,16 +79,22 @@ class TrainRun:
         return "\n".join(lines) + "\n"
 
 
-def _clip_global_norm(grads: ParamTree, clip: float) -> None:
-    """Scale the gradients in place so their global L2 norm is at most ``clip``."""
+def _clip_global_norm(grads: ParamTree, clip: float) -> float:
+    """Scale the gradients in place so their global L2 norm is at most
+    ``clip``, and return the norm before scaling. Squares that overflow give
+    an inf norm, which the caller must report as divergence; such a norm
+    scales nothing, since ``clip / inf`` would zero every gradient and
+    freeze training silently."""
     sq = 0.0  # a plain loop: the built-in sum() of floats is compensated from Python 3.12 on
-    for g in grads.values():
-        for v in np.sum(g * g, axis=1).tolist():
-            sq += v
+    with np.errstate(over="ignore"):
+        for g in grads.values():
+            for v in np.sum(g * g, axis=1).tolist():
+                sq += v
     total = np.sqrt(sq)
-    if total > clip:
+    if np.isfinite(total) and total > clip:
         for g in grads.values():
             g *= clip / total
+    return total
 
 
 def _validate(net: NetworkParams, run: TrainRun) -> tuple[float, float]:
@@ -164,7 +170,10 @@ def _run_phase(net: NetworkParams, data: DatasetSplit, run: TrainRun, phase: str
                 raise NonFiniteLoss(f"{phase} phase diverged at epoch {e} (loss={loss})")
 
             if run.cfg.grad_clip_norm is not None:
-                _clip_global_norm(grads, run.cfg.grad_clip_norm)
+                norm = _clip_global_norm(grads, run.cfg.grad_clip_norm)
+                if not np.isfinite(norm):
+                    raise NonFiniteLoss(f"{phase} phase diverged at epoch {e} "
+                                        f"(gradient norm={norm})")
             sgdm_step(rows, grads, state)
             if phase == PHASE_SPARSE:
                 apply_masks(rows, keep)

@@ -39,6 +39,7 @@ one layer's sequence plus the step in flight.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,12 +202,16 @@ class ForwardCache:
     p: np.ndarray           # (B,)
 
 
-def _gate_scale(hdim: int) -> np.ndarray:
-    """0.5 on the sigmoid blocks (f, i, o) and 1 on the tanh block j, so that
-    s * tanh(s * x) + (1 - s) is sigmoid(x) = 0.5 * (1 + tanh(x / 2)) or tanh(x)."""
+@functools.cache
+def _gate_scale(hdim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(s, 1 - s) with s 0.5 on the sigmoid blocks (f, i, o) and 1 on the
+    tanh block j, so that s * tanh(s * x) + (1 - s) is sigmoid(x) =
+    0.5 * (1 + tanh(x / 2)) or tanh(x). Built once per hidden size, read-only."""
     s = np.full(4 * hdim, 0.5)
     s[2 * hdim:3 * hdim] = 1.0
-    return s
+    shift = 1.0 - s
+    s.flags.writeable = shift.flags.writeable = False
+    return s, shift
 
 
 def _cell_math(layer: LstmLayerParams, step_in, c_prev):
@@ -221,14 +226,17 @@ def _cell_math(layer: LstmLayerParams, step_in, c_prev):
     """
     hdim = layer.hidden_size
     skip = hdim if c_prev is None else 0
-    s = _gate_scale(hdim)[skip:]
+    s, shift = _gate_scale(hdim)
+    s, shift = s[skip:], shift[skip:]
     gates = step_in @ layer.w[skip:, skip:].T
     gates += layer.b[skip:]
     gates *= s
     np.tanh(gates, out=gates)
     gates *= s
-    gates += 1.0 - s
-    i, j, o = np.split(gates[:, -3 * hdim:], 3, axis=1)
+    gates += shift
+    i0 = hdim - skip  # the i block starts after f, or at 0 on the zero state
+    i, j, o = (gates[:, i0:i0 + hdim], gates[:, i0 + hdim:i0 + 2 * hdim],
+               gates[:, i0 + 2 * hdim:])
     c = i * j
     # f * c_prev + i * j; on the zero state + 0.0 still turns -0 into +0.
     c += 0.0 if c_prev is None else gates[:, :hdim] * c_prev

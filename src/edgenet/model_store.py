@@ -24,11 +24,13 @@ parses to other valid values loads as a different model.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,18 +49,17 @@ ENC_DENSE = 0
 ENC_BITMAP = 1
 DTYPE_NAMES = {DTYPE_F32: "float32", DTYPE_I8: "int8"}
 ENCODING_NAMES = {ENC_DENSE: "dense", ENC_BITMAP: "bitmap-sparse"}
-_NP_DTYPES = {DTYPE_F32: "<f4", DTYPE_I8: "i1"}
+_NP_DTYPES = {DTYPE_F32: np.dtype("<f4"), DTYPE_I8: np.dtype("i1")}
 
 
-@dataclass(frozen=True)
-class TensorRecord:
+class TensorRecord(NamedTuple):
     """One stored tensor: its header fields and its raw payload."""
 
     name: str
     dtype: int
     encoding: int
     shape: tuple[int, ...]
-    payload: bytes = field(repr=False)
+    payload: bytes
     crc_ok: bool = True
     scale: float | None = None
     zero_point: int | None = None
@@ -69,9 +70,10 @@ class TensorRecord:
 
     def decode(self) -> tuple[np.ndarray, np.ndarray | None]:
         """(values, keep): the tensor in ``shape``, and for a bitmap-sparse
-        payload its bool keep-mask (None when dense). Absent entries read 0.0,
-        or the zero point for int8 so that they dequantize to exactly 0."""
-        np_dtype = np.dtype(_NP_DTYPES[self.dtype])
+        payload its keep-mask as a uint8 array of 0s and 1s (None when dense).
+        Absent entries read 0.0, or the zero point for int8 so that they
+        dequantize to exactly 0."""
+        np_dtype = _NP_DTYPES[self.dtype]
         n = math.prod(self.shape)
         if self.encoding == ENC_DENSE:
             if len(self.payload) != n * np_dtype.itemsize:
@@ -80,13 +82,15 @@ class TensorRecord:
             return np.frombuffer(self.payload, np_dtype).reshape(self.shape).copy(), None
         bitmap_len = (n + 7) // 8
         bits = np.frombuffer(self.payload, np.uint8, count=bitmap_len)
-        keep = np.unpackbits(bits, count=n, bitorder="little").astype(bool)
+        keep = np.unpackbits(bits, count=n, bitorder="little")
         packed = np.frombuffer(self.payload, np_dtype, offset=bitmap_len)
-        if packed.size != int(keep.sum()):
+        present = np.count_nonzero(keep)
+        if packed.size != present:
             raise StoreError(f"sparse payload holds {packed.size} values, "
-                             f"bitmap says {keep.sum()}")
-        values = np.full(n, self.zero_point if self.dtype == DTYPE_I8 else 0.0, np_dtype)
-        values[keep] = packed
+                             f"bitmap says {present}")
+        values = np.empty(n, np_dtype)
+        values.fill(self.zero_point if self.dtype == DTYPE_I8 else 0.0)
+        np.place(values, keep.view(bool), packed)
         return values.reshape(self.shape), keep.reshape(self.shape)
 
 
@@ -134,64 +138,80 @@ def _write_container(path: str, arch: dict, records: list[TensorRecord]) -> None
     write_atomic(path, b"".join(parts))
 
 
-class _Reader:
-    def __init__(self, buf: bytes, path: str):
-        self.buf = buf
-        self.path = path
-        self.off = 0
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_VERSION_COUNT = struct.Struct("<HH")
+_TENSOR_HEAD = struct.Struct("<BBB")  # dtype, encoding, rank
+_INT8_PARAMS_LEN = struct.Struct("<fiI")  # scale, zero point, payload length
 
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.buf):
-            raise StoreError(f"{self.path}: truncated file")
-        out = self.buf[self.off:self.off + n]
-        self.off += n
-        return out
 
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+@functools.cache
+def _dims(rank: int) -> struct.Struct:
+    return struct.Struct(f"<{rank}I")
 
-    def text(self, n: int) -> str:
-        try:
-            return self.take(n).decode("utf-8")
-        except UnicodeDecodeError:
-            raise StoreError(f"{self.path}: header text at byte {self.off - n} "
-                             "is not UTF-8") from None
+
+def _text(buf: bytes, start: int, n: int, path: str) -> str:
+    if start + n > len(buf):
+        raise StoreError(f"{path}: truncated file")
+    try:
+        return buf[start:start + n].decode("utf-8")
+    except UnicodeDecodeError:
+        raise StoreError(f"{path}: header text at byte {start} is not UTF-8") from None
 
 
 def _read_container(path: str) -> tuple[dict, list[TensorRecord]]:
-    """The architecture and the tensor records; any header fault is a StoreError."""
+    """The architecture and the tensor records; any header fault is a StoreError.
+
+    Fixed-size fields are unpacked in place with precompiled structs. One
+    that runs past the end raises struct.error, reported as a truncated
+    file; so is a payload cut short, because the CRC after it then starts
+    past the end.
+    """
     with open(path, "rb") as fh:
-        rd = _Reader(fh.read(), path)
-    if rd.take(4) != MAGIC:
-        raise BadMagic(f"{path} is not a model container")
-    version, count = rd.unpack("<HH")
-    if version != VERSION:
-        raise VersionUnsupported(f"{path}: container version {version}, expected {VERSION}")
-    (arch_len,) = rd.unpack("<I")
+        buf = fh.read()
     try:
-        arch = json.loads(rd.text(arch_len))
-    except json.JSONDecodeError as exc:
-        raise StoreError(f"{path}: architecture is not valid JSON ({exc})") from None
-    if not isinstance(arch, dict):
-        raise StoreError(f"{path}: architecture must be a JSON object")
-    records = []
-    for _ in range(count):
-        (name_len,) = rd.unpack("<H")
-        name = rd.text(name_len)
-        dtype, encoding, rank = rd.unpack("<BBB")
-        if dtype not in DTYPE_NAMES or encoding not in ENCODING_NAMES:
-            raise StoreError(f"{path}: tensor '{name}' has unknown dtype {dtype} "
-                             f"or encoding {encoding}")
-        shape = rd.unpack(f"<{rank}I")
-        scale, zero_point = rd.unpack("<fi") if dtype == DTYPE_I8 else (None, None)
-        (payload_len,) = rd.unpack("<I")
-        payload = rd.take(payload_len)
-        (crc,) = rd.unpack("<I")
-        records.append(TensorRecord(name=name, dtype=dtype, encoding=encoding, shape=shape,
-                                    payload=payload, crc_ok=zlib.crc32(payload) == crc,
-                                    scale=scale, zero_point=zero_point))
-    if rd.off != len(rd.buf):
-        raise StoreError(f"{path}: {len(rd.buf) - rd.off} bytes after the last record")
+        if len(buf) >= 4 and buf[:4] != MAGIC:
+            raise BadMagic(f"{path} is not a model container")
+        version, count = _VERSION_COUNT.unpack_from(buf, 4)
+        if version != VERSION:
+            raise VersionUnsupported(f"{path}: container version {version}, "
+                                     f"expected {VERSION}")
+        (arch_len,) = _U32.unpack_from(buf, 8)
+        try:
+            arch = json.loads(_text(buf, 12, arch_len, path))
+        except json.JSONDecodeError as exc:
+            raise StoreError(f"{path}: architecture is not valid JSON ({exc})") from None
+        if not isinstance(arch, dict):
+            raise StoreError(f"{path}: architecture must be a JSON object")
+        off = 12 + arch_len
+        records = []
+        for _ in range(count):
+            (name_len,) = _U16.unpack_from(buf, off)
+            name = _text(buf, off + 2, name_len, path)
+            off += 2 + name_len
+            dtype, encoding, rank = _TENSOR_HEAD.unpack_from(buf, off)
+            if dtype not in DTYPE_NAMES or encoding not in ENCODING_NAMES:
+                raise StoreError(f"{path}: tensor '{name}' has unknown dtype {dtype} "
+                                 f"or encoding {encoding}")
+            dims = _dims(rank)
+            shape = dims.unpack_from(buf, off + 3)
+            off += 3 + dims.size
+            if dtype == DTYPE_I8:
+                scale, zero_point, payload_len = _INT8_PARAMS_LEN.unpack_from(buf, off)
+                off += _INT8_PARAMS_LEN.size
+            else:
+                scale = zero_point = None
+                (payload_len,) = _U32.unpack_from(buf, off)
+                off += 4
+            payload = buf[off:off + payload_len]
+            (crc,) = _U32.unpack_from(buf, off + payload_len)
+            off += payload_len + 4
+            records.append(TensorRecord(name, dtype, encoding, shape, payload,
+                                        zlib.crc32(payload) == crc, scale, zero_point))
+    except struct.error:  # a field starts or ends past the last byte
+        raise StoreError(f"{path}: truncated file") from None
+    if off != len(buf):
+        raise StoreError(f"{path}: {len(buf) - off} bytes after the last record")
     if len({r.name for r in records}) != len(records):
         raise StoreError(f"{path}: duplicate tensor names in container")
     return arch, records
@@ -264,26 +284,28 @@ def _assemble_model(arch: dict, records: list[TensorRecord]) -> LoadedModel:
     if arch["tied_output_gate"] is not False:
         raise StoreError(f"tied_output_gate must be false, got {arch['tied_output_gate']!r}")
     template = zeros_params(sizes, dropout_rate=arch["dropout_rate"])
-    expected = {name: arr.shape for name, arr in template.tensors().items()}
-    if {r.name: r.shape for r in records} != expected:
+    views = template.tensors()
+    if {r.name: r.shape for r in records} != {name: v.shape for name, v in views.items()}:
         raise StoreError("tensor names or shapes do not fit the architecture")
-    decoded = {r.name: r.decode() for r in records}
-    masks = {name: keep.astype(np.uint8) for name, (_, keep) in decoded.items()
-             if keep is not None}
-    mask = SparsityMask(masks) if masks else None
-    values = {name: v for name, (v, _) in decoded.items()}
-    int8 = [r for r in records if r.dtype == DTYPE_I8]
-    if not int8:
-        return LoadedModel(kind="float", params=template.with_tensors(values), mask=mask)
-
-    if arch.get("quant_range", [Q_MIN, Q_MAX]) != [Q_MIN, Q_MAX]:
+    int8 = any(r.dtype == DTYPE_I8 for r in records)
+    if int8 and arch.get("quant_range", [Q_MIN, Q_MAX]) != [Q_MIN, Q_MAX]:
         raise StoreError(f"quant_range must be [{Q_MIN}, {Q_MAX}], got {arch['quant_range']!r}")
-    weights = {r.name: QuantizedTensor(values[r.name], QuantParams(
-        scale=r.scale, zero_point=r.zero_point)) for r in int8}
-    biases = {name: v for name, v in values.items() if name not in weights}
-    for name, v in biases.items():  # a bad container, not a bad score
-        if not np.isfinite(v).all():
-            raise StoreError(f"float32 tensor '{name}' of an int8 model holds NaN or inf")
+    masks, weights, biases = {}, {}, {}
+    for r in records:
+        values, keep = r.decode()
+        if keep is not None:
+            masks[r.name] = keep
+        if not int8:
+            views[r.name][...] = values
+        elif r.dtype == DTYPE_I8:
+            weights[r.name] = QuantizedTensor(values, QuantParams(r.scale, r.zero_point))
+        elif not np.isfinite(values).all():  # a bad container, not a bad score
+            raise StoreError(f"float32 tensor '{r.name}' of an int8 model holds NaN or inf")
+        else:
+            biases[r.name] = values
+    mask = SparsityMask(masks) if masks else None
+    if not int8:
+        return LoadedModel(kind="float", params=template, mask=mask)
     qm = QuantizedModel(weights=weights, biases=biases, layer_sizes=template.layer_sizes,
                         dropout_rate=template.dropout_rate, mask=mask)
     return LoadedModel(kind="quantized", qmodel=qm, mask=mask)

@@ -10,6 +10,7 @@ state stay in floating point at inference time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ class QuantParams:
     zero_point: int
 
     def __post_init__(self):
-        if not (self.scale > 0.0 and np.isfinite(self.scale)):
+        if not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise ConfigError(f"scale must be finite and > 0, got {self.scale}")
         if not Q_MIN <= self.zero_point <= Q_MAX:
             raise ConfigError(f"zero point {self.zero_point} outside [{Q_MIN}, {Q_MAX}]")
@@ -109,14 +110,19 @@ def quantize_model(net: NetworkParams, mask: SparsityMask | None = None) -> Quan
 
 
 def dequantized_net(qm: QuantizedModel) -> NetworkParams:
-    """Float network with weights recovered via r = S * (q - Z)."""
-    tree: dict[str, np.ndarray] = {}
-    for name, qt in qm.weights.items():
-        tree[name] = dequantize(qt)
-    for name, arr in qm.biases.items():
-        tree[name] = arr.astype(np.float64)
+    """Float network with weights recovered via r = S * (q - Z), elementwise
+    as in ``dequantize``: the int8 values and float32 biases are copied into
+    one float64 network, whose weight views are then shifted and scaled in
+    place."""
     template = zeros_params(qm.layer_sizes, dropout_rate=qm.dropout_rate)
-    return template.with_tensors(tree)
+    net = template.with_tensors({name: qt.values for name, qt in qm.weights.items()}
+                                | qm.biases)
+    views = net.tensors()
+    for name, qt in qm.weights.items():
+        view = views[name]
+        view -= qt.params.zero_point
+        view *= qt.params.scale
+    return net
 
 
 def quantized_scores(qm: QuantizedModel, x: np.ndarray) -> np.ndarray:

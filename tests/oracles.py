@@ -6,6 +6,8 @@ transcription) and shares no code with the implementation paths it judges.
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
 from edgenet.lstm_net import bce_loss, forward_batch
@@ -92,3 +94,51 @@ def lowest_quantile_subset(magnitudes, t: float):
         return np.array([], dtype=int)
     take = int(np.ceil(t * mags.size))
     return np.argsort(mags, kind="stable")[:take]
+
+
+def naive_container(path: str) -> dict:
+    """Every tensor of a model container, decoded field by field with
+    ``struct.unpack`` on slices: name -> dtype, encoding, shape, scale,
+    zero_point, values (float32 or int8, absent entries 0.0 or the zero
+    point) and keep (uint8 0/1 from ``np.unpackbits``, None when dense)."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    pos = 0
+
+    def read(fmt):
+        nonlocal pos
+        size = struct.calcsize(fmt)
+        out = struct.unpack(fmt, blob[pos:pos + size])
+        pos += size
+        return out
+
+    assert blob[:4] == b"EIDM"
+    pos = 4
+    _, count, arch_len = read("<HHI")
+    pos += arch_len
+    tensors = {}
+    for _ in range(count):
+        (name_len,) = read("<H")
+        name = blob[pos:pos + name_len].decode("utf-8")
+        pos += name_len
+        dtype, encoding, rank = read("<BBB")
+        shape = read(f"<{rank}I")
+        scale, zero_point = read("<fi") if dtype == 1 else (None, None)
+        (payload_len,) = read("<I")
+        payload = blob[pos:pos + payload_len]
+        pos += payload_len + 4  # the CRC
+        np_dtype = np.dtype("<f4") if dtype == 0 else np.dtype("i1")
+        n = int(np.prod(shape))
+        if encoding == 0:
+            values, keep = np.frombuffer(payload, np_dtype).reshape(shape), None
+        else:
+            bitmap_len = (n + 7) // 8
+            bits = np.unpackbits(np.frombuffer(payload[:bitmap_len], np.uint8),
+                                 bitorder="little")[:n].astype(bool)
+            values = np.full(n, 0.0 if dtype == 0 else zero_point, np_dtype)
+            values[bits] = np.frombuffer(payload[bitmap_len:], np_dtype)
+            values, keep = values.reshape(shape), bits.astype(np.uint8).reshape(shape)
+        tensors[name] = {"dtype": dtype, "encoding": encoding, "shape": shape, "scale": scale,
+                         "zero_point": zero_point, "values": values, "keep": keep}
+    assert pos == len(blob)
+    return tensors

@@ -371,6 +371,27 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.out == "" and "ConfigError" in captured.err
 
+    @pytest.mark.parametrize("features,named", [
+        ("0.5,1e300,0.5", "value 2 of 3 is 1e+300"),
+        ("-5,0.5,0.5", "value 1 of 3 is -5.0"),
+        ("0.5,0.5,1.0000001", "value 3 of 3 is 1.0000001"),
+        ("0.5,-5,7", "value 2 of 3 is -5.0"),  # the first of two
+    ])
+    def test_out_of_range_features_rejected_before_the_model_is_read(
+            self, tmp_path, capsys, features, named):
+        # no model file exists: the features are checked first; "=" keeps
+        # argparse from reading a leading "-5" as an option
+        rc = main(["predict", str(tmp_path / "missing.eidm"), "--features=" + features])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert f"ConfigError: --features {named}, outside [0, 1]" in captured.err
+
+    def test_range_edges_accepted(self, tmp_path, capsys):
+        model = str(tmp_path / "zero.eidm")
+        save_dense(zeros_params((3, 4), dropout_rate=0.0), model)
+        assert main(["predict", model, "--features", "0,1,0.0"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"probability": 0.5, "label": 1}
+
     @pytest.mark.parametrize("tensor,value", [("head.w", np.nan), ("layer0.w_i", np.inf),
                                               ("layer0.b_o", np.nan)],
                              ids=["nan_weight", "inf_weight", "nan_bias"])
@@ -466,6 +487,25 @@ class TestErrorPaths:
             rc = main(["train", "--config", str(bad_cfg), "--data", data,
                        "--out", str(tmp / "m")])
         assert rc == 4
+
+    def test_clip_norm_overflow_is_divergence(self, workdir, capsys):
+        # mu 1e300 keeps the loss finite, but the squared gradients of the
+        # clip norm overflow; clip / inf would zero every step and freeze training
+        tmp, cfg, csv = workdir
+        doc = json.loads(open(cfg).read())
+        doc["pruning"]["mu"] = 1e300
+        for phase in ("dense", "sparse", "redense"):
+            doc["phases"][phase]["epochs"] = 1
+        bad_cfg = tmp / "bad.json"
+        bad_cfg.write_text(json.dumps(doc), encoding="utf-8")
+        data, out = str(tmp / "data"), tmp / "m"
+        assert main(["preprocess", "--config", cfg, "--csv", csv, "--out", data]) == 0
+        capsys.readouterr()
+        rc = main(["train", "--config", str(bad_cfg), "--data", data, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 4 and captured.out == ""
+        assert "dense phase diverged at epoch 0 (gradient norm=inf)" in captured.err
+        assert not out.exists()
 
 
 # (key path in the config, bad value, text the error must give)

@@ -13,7 +13,8 @@ from edgenet.model_store import (ENC_BITMAP, ENC_DENSE, DTYPE_F32, DTYPE_I8,
                                  inspect, load_model, save_dense,
                                  save_quantized, save_sparse)
 from edgenet.pruning import apply_masks, compute_masks
-from edgenet.quantizer import quantize_model
+from edgenet.quantizer import dequantized_net, quantize_model
+from oracles import naive_container
 
 
 def small_net(seed=0, sizes=(3, 4, 4)):
@@ -216,6 +217,71 @@ class TestQuantized:
         assert (dense.kind, dense.mask, dense.qmodel) == ("float", None, None)
         assert quantized.kind == "quantized" and quantized.params is None
         assert quantized.mask is None
+
+
+def oracle_containers(tmp_path) -> dict[str, str]:
+    """Dense, sparse, int8 and sparse int8 containers of one pruned net that
+    holds a surviving -0.0 weight and a -0.0 bias."""
+    net, mask = pruned_net(12, sizes=(3, 5, 4))
+    tree = net.tensors()  # views: writes change the net
+    name = net.weight_names()[1]
+    survivor = np.flatnonzero(mask.masks[name])[0]
+    tree[name][np.unravel_index(survivor, tree[name].shape)] = -0.0
+    tree["layer0.b_i"][2] = -0.0
+    paths = {kind: str(tmp_path / f"{kind}.eidm")
+             for kind in ("dense", "sparse", "int8", "sparse_int8")}
+    save_dense(net, paths["dense"])
+    save_sparse(net, mask, paths["sparse"])
+    save_quantized(quantize_model(net), paths["int8"])
+    save_quantized(quantize_model(net, mask=mask), paths["sparse_int8"])
+    return paths
+
+
+class TestDecodeOracle:
+    """load_model and dequantized_net against a field-by-field decode of the
+    same bytes, compared byte for byte so that signed zeros count."""
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "int8", "sparse_int8"])
+    def test_load_matches_the_reference_decode(self, tmp_path, kind):
+        path = oracle_containers(tmp_path)[kind]
+        ref = naive_container(path)
+        loaded = load_model(path)
+
+        masks = loaded.mask.masks if loaded.mask is not None else {}
+        assert set(masks) == {name for name, r in ref.items() if r["keep"] is not None}
+        assert bool(masks) == kind.startswith("sparse")
+        for name, m in masks.items():
+            assert m.dtype == np.uint8 and m.shape == ref[name]["shape"]
+            assert m.tobytes() == ref[name]["keep"].tobytes()
+
+        if loaded.kind == "float":
+            tensors = loaded.params.tensors()
+        else:
+            qm = loaded.qmodel
+            assert set(qm.weights) | set(qm.biases) == set(ref)
+            for name, qt in qm.weights.items():
+                r = ref[name]
+                assert qt.values.dtype == np.int8 and qt.values.shape == r["shape"]
+                assert qt.values.tobytes() == r["values"].tobytes()
+                assert (qt.params.scale, qt.params.zero_point) == (r["scale"], r["zero_point"])
+            for name, b in qm.biases.items():
+                assert b.dtype == np.float32 and b.tobytes() == ref[name]["values"].tobytes()
+            tensors = dequantized_net(qm).tensors()
+        assert set(tensors) == set(ref)
+        assert loaded.kind == ("float" if kind in ("dense", "sparse") else "quantized")
+        for name, r in ref.items():
+            if r["dtype"] == DTYPE_I8:  # r = S * (q - Z), per gate tensor
+                expected = r["scale"] * (r["values"].astype(np.float64) - r["zero_point"])
+            else:
+                expected = r["values"].astype(np.float64)
+            assert tensors[name].dtype == np.float64 and tensors[name].shape == r["shape"]
+            assert tensors[name].tobytes() == expected.tobytes(), name
+
+    def test_fixture_holds_negative_zeros(self, tmp_path):
+        ref = naive_container(oracle_containers(tmp_path)["dense"])
+        signed = {name for name, r in ref.items()
+                  if np.any((r["values"] == 0.0) & np.signbit(r["values"]))}
+        assert signed == {"layer0.w_i", "layer0.b_i"}
 
 
 class TestCompatibility:

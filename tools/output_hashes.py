@@ -16,6 +16,11 @@ stdout. The commands:
 - a 3000-row ``bench/unswgen`` CSV through ``preprocess``, and a T = 6
   ``evaluate`` of a seeded 3x32 float model and its int8 copy.
 
+Each model container written is also hashed as ``load_model`` decodes it:
+its float64 tensors (dequantized for int8), masks, and int8 scales and
+zero points. So a change to the reader is checked value by value, not only
+through what the commands print.
+
 Two source trees produce the same outputs when their printouts match:
 
     python tools/output_hashes.py --src ../parent/src > before.txt
@@ -81,6 +86,33 @@ class Run:
                 path = os.path.join(base, name)
                 with open(path, "rb") as fh:
                     self.hashes[os.path.relpath(path, self.work)] = sha256(fh.read())
+                if name.endswith(".eidm"):
+                    self.decoded_hashes(path)
+
+    def decoded_hashes(self, path: str) -> None:
+        """Three hashes of a container as ``load_model`` decodes it: every
+        float64 tensor (an int8 model's after ``dequantized_net``), every
+        mask, and each int8 tensor's scale and zero point."""
+        from edgenet import model_store, quantizer
+
+        loaded = model_store.load_model(path)
+        if loaded.kind == "quantized":
+            net = quantizer.dequantized_net(loaded.qmodel)
+            quant = "".join(f"{name} {qt.params.scale!r} {qt.params.zero_point}\n"
+                            for name, qt in loaded.qmodel.weights.items()).encode("utf-8")
+        else:
+            net, quant = loaded.params, b""
+        masks = loaded.mask.masks if loaded.mask is not None else {}
+        rel = os.path.relpath(path, self.work)
+        for part, blob in (("tensors", _named_bytes(net.tensors())),
+                           ("masks", _named_bytes(masks)), ("quant", quant)):
+            self.hashes[f"decoded-{part}:{rel}"] = sha256(blob)
+
+
+def _named_bytes(tree: dict) -> bytes:
+    """Each array's name, dtype, shape and bytes, in the tree's order."""
+    return b"".join(f"{name} {arr.dtype} {arr.shape}\n".encode("utf-8") + arr.tobytes()
+                    for name, arr in tree.items())
 
 
 def run_all(run: Run) -> None:
