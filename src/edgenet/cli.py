@@ -246,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="classify one record")
     p.add_argument("model")
     p.add_argument("--features", required=True,
-                   help="comma-separated normalized values, each in [0, 1] (else exit 1)")
+                   help="comma-separated normalized values, each in [0, 1] (else exit 1); "
+                        "a list that starts with '-' must be given as --features=...")
     p.add_argument("--threshold", type=float, default=0.5)
 
     p = sub.add_parser("dump", help="print a container's tensor table")

@@ -29,8 +29,7 @@ import json
 import math
 import struct
 import zlib
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,14 +51,15 @@ ENCODING_NAMES = {ENC_DENSE: "dense", ENC_BITMAP: "bitmap-sparse"}
 _NP_DTYPES = {DTYPE_F32: np.dtype("<f4"), DTYPE_I8: np.dtype("i1")}
 
 
-class TensorRecord(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class TensorRecord:
     """One stored tensor: its header fields and its raw payload."""
 
     name: str
     dtype: int
     encoding: int
     shape: tuple[int, ...]
-    payload: bytes
+    payload: bytes = field(repr=False)
     crc_ok: bool = True
     scale: float | None = None
     zero_point: int | None = None

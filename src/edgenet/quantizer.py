@@ -110,19 +110,10 @@ def quantize_model(net: NetworkParams, mask: SparsityMask | None = None) -> Quan
 
 
 def dequantized_net(qm: QuantizedModel) -> NetworkParams:
-    """Float network with weights recovered via r = S * (q - Z), elementwise
-    as in ``dequantize``: the int8 values and float32 biases are copied into
-    one float64 network, whose weight views are then shifted and scaled in
-    place."""
+    """Float network with weights recovered via r = S * (q - Z)."""
     template = zeros_params(qm.layer_sizes, dropout_rate=qm.dropout_rate)
-    net = template.with_tensors({name: qt.values for name, qt in qm.weights.items()}
-                                | qm.biases)
-    views = net.tensors()
-    for name, qt in qm.weights.items():
-        view = views[name]
-        view -= qt.params.zero_point
-        view *= qt.params.scale
-    return net
+    return template.with_tensors({name: dequantize(qt) for name, qt in qm.weights.items()}
+                                 | qm.biases)
 
 
 def quantized_scores(qm: QuantizedModel, x: np.ndarray) -> np.ndarray:
