@@ -246,8 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="classify one record")
     p.add_argument("model")
     p.add_argument("--features", required=True,
-                   help="comma-separated normalized values, each in [0, 1] (else exit 1); "
-                        "a list that starts with '-' must be given as --features=...")
+                   help="comma-separated normalized values, each in [0, 1] (else exit 1)")
     p.add_argument("--threshold", type=float, default=0.5)
 
     p = sub.add_parser("dump", help="print a container's tensor table")
@@ -284,8 +283,21 @@ def _dispatch(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled command {args.command}")
 
 
+def _attach_features(argv: list[str]) -> list[str]:
+    """``--features -5,0.5`` joined as ``--features=-5,0.5``. argparse reads a
+    separate value that starts with '-' as an unknown option (exit 2); joined,
+    it reaches the [0, 1] check like any other list."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--features" and arg[:1] == "-" and arg[:2] != "--":
+            out[-1] = f"--features={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_features(sys.argv[1:] if argv is None else argv))
     try:
         return _dispatch(args)
     except NonFiniteLoss as exc:

@@ -94,7 +94,17 @@ def select_swd_subset(w: np.ndarray, mask: np.ndarray, a: float,
     sel = np.zeros_like(candidates)
     for row, cand, out in zip(mag, candidates, sel):
         idx = np.flatnonzero(cand)
-        out[idx[np.argsort(row[idx], kind="stable")[:int(np.ceil(t * idx.size))]]] = True
+        k = int(np.ceil(t * idx.size))
+        if k == 0:
+            continue
+        # every candidate below the k-th smallest magnitude, then the
+        # lowest-index ties at it: the first k of a stable argsort
+        vals = row[idx]
+        kth = np.partition(vals, k - 1)[k - 1]
+        below = vals < kth
+        ties = np.flatnonzero(vals == kth)[:k - np.count_nonzero(below)]
+        out[idx[below]] = True
+        out[idx[ties]] = True
     return sel.reshape(w.shape)
 
 

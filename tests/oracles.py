@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 
-from edgenet.lstm_net import bce_loss, forward_batch
+from edgenet.lstm_net import _cell_math, bce_loss, forward_batch, sigmoid
 
 
 def finite_difference_gradients(net, x, y, mask_seed: int, eps: float = 1e-5):
@@ -40,6 +40,21 @@ def finite_difference_gradients(net, x, y, mask_seed: int, eps: float = 1e-5):
             g[idx] = (lp - lm) / (2.0 * eps)
         grads[name] = g
     return grads
+
+
+def whole_batch_scores(net, x):
+    """Eval-mode scores of a (B, T, D) batch in one pass over all its rows:
+    the layer and step loop that ``forward_batch`` ran before it scored a
+    batch in blocks. It calls ``_cell_math`` on purpose: what it judges is
+    the blocking, and equal bits need the same step arithmetic."""
+    cur = [x[:, t, :] for t in range(x.shape[1])]
+    for layer in net.layers:
+        h = c = None  # zero state
+        for t in range(len(cur)):
+            step_in = cur[t] if c is None else np.concatenate([h, cur[t]], axis=1)
+            h, c, _, _ = _cell_math(layer, step_in, c)
+            cur[t] = h
+    return sigmoid(cur[-1] @ net.head_w + net.head_b)
 
 
 def gradient_agreement(analytic, numeric, rel_tol: float = 1e-4,

@@ -379,12 +379,24 @@ class TestErrorPaths:
     ])
     def test_out_of_range_features_rejected_before_the_model_is_read(
             self, tmp_path, capsys, features, named):
-        # no model file exists: the features are checked first; "=" keeps
-        # argparse from reading a leading "-5" as an option
+        # no model file exists: the features are checked first
         rc = main(["predict", str(tmp_path / "missing.eidm"), "--features=" + features])
         captured = capsys.readouterr()
         assert rc == 1 and captured.out == ""
         assert f"ConfigError: --features {named}, outside [0, 1]" in captured.err
+
+    def test_leading_minus_value_reaches_the_range_check(self, tmp_path, capsys):
+        # a separate value, not "--features=...": argparse must not read it as an option
+        rc = main(["predict", str(tmp_path / "missing.eidm"), "--features", "-5,0.5,0.5"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert "ConfigError: --features value 1 of 3 is -5.0, outside [0, 1]" in captured.err
+
+    def test_leading_negative_zero_is_scored(self, tmp_path, capsys):
+        model = str(tmp_path / "zero.eidm")
+        save_dense(zeros_params((3, 4), dropout_rate=0.0), model)
+        assert main(["predict", model, "--features", "-0.0,0.5,0.5"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"probability": 0.5, "label": 1}
 
     def test_range_edges_accepted(self, tmp_path, capsys):
         model = str(tmp_path / "zero.eidm")
@@ -724,6 +736,16 @@ class TestEvaluateEdgeCases:
         row = out.strip().split("\n")[1].split(",")
         far, acc, prec, dr, f1 = map(float, row)
         assert dr == 100.0 and far == 100.0
+
+    def test_zero_row_split_exit_1(self, tmp_path, capsys):
+        model = str(tmp_path / "m.eidm")
+        save_dense(init_params((3, 4), seed=0), model)
+        data = str(tmp_path / "none.eidd")
+        save_dataset(DatasetSplit(features=np.zeros((0, 3)), labels=np.zeros(0, dtype=np.int64)),
+                     data)
+        assert main(["evaluate", model, data]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "EmptyInput" in captured.err
 
     def test_single_class_split_still_reports_metrics(self, tmp_path, capsys):
         net = zeros_params((10, 8), dropout_rate=0.0)

@@ -4,12 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from edgenet import lstm_net
 from edgenet.cli import main
 from edgenet.errors import CacheMismatch, ConfigError, DimensionMismatch
-from edgenet.lstm_net import (GATES, LstmLayerParams, NetworkParams, _cell_math,
-                              backward, bce_loss, forward_batch, init_params,
+from edgenet.lstm_net import (EVAL_BLOCK_ROWS, GATES, LstmLayerParams, NetworkParams,
+                              _cell_math, backward, bce_loss, forward_batch, init_params,
                               is_weight_name, scores, sigmoid, stack_rows, zeros_params)
 from edgenet.model_store import save_dense
+from edgenet.quantizer import dequantized_net, quantize_model
+from oracles import whole_batch_scores
 
 
 def zero_layer(h=1, d=1, b=None):
@@ -198,10 +201,38 @@ class TestForward:
         mc_sem = dropped.std(axis=0) / np.sqrt(reps)
         np.testing.assert_array_less(np.abs(mc_mean - h[0]), 5 * mc_sem + 1e-12)
 
+    @pytest.mark.parametrize("int8", [False, True], ids=["float", "int8"])
+    @pytest.mark.parametrize("seq_len", [1, 6])
+    @pytest.mark.parametrize("rows", [0, EVAL_BLOCK_ROWS, 2 * EVAL_BLOCK_ROWS + 3])
+    def test_blocked_eval_equals_whole_batch(self, rows, seq_len, int8):
+        # rows are independent, so scoring in blocks changes no bit
+        net = init_params((7, 32, 32, 32), seed=1)
+        if int8:
+            net = dequantized_net(quantize_model(net))
+        x = np.random.default_rng(rows + seq_len).random((rows, seq_len, 7))
+        p, cache = forward_batch(net, x, mode="eval")
+        assert p.shape == (rows,) and cache.head_input is None
+        assert p.tobytes() == whole_batch_scores(net, x).tobytes()
+
+    @pytest.mark.parametrize("rows,blocks", [
+        (0, [0]), (EVAL_BLOCK_ROWS + 3, [EVAL_BLOCK_ROWS + 3]),
+        (2 * EVAL_BLOCK_ROWS, [EVAL_BLOCK_ROWS] * 2),
+        (3 * EVAL_BLOCK_ROWS - 1, [EVAL_BLOCK_ROWS, 2 * EVAL_BLOCK_ROWS - 1]),
+    ])
+    def test_last_eval_block_takes_the_remainder(self, monkeypatch, rows, blocks):
+        # never a block of a few rows, which BLAS sums in another order
+        seen, run_layers = [], lstm_net._run_layers
+        monkeypatch.setattr(lstm_net, "_run_layers",
+                            lambda net, x: seen.append(len(x)) or run_layers(net, x))
+        forward_batch(init_params((3, 4), seed=0), np.zeros((rows, 2, 3)), mode="eval")
+        assert seen == blocks
+
     def test_eval_forward_peak_memory(self):
-        # The train-mode cache of this batch holds about 240 MB; scoring it
-        # needs one layer's sequence (12 MB), h and c, plus one step in
-        # flight: step_in, gates and the new c and h (about 18 MB).
+        # The train-mode cache of this batch holds about 240 MB, and scoring
+        # it in one pass over all rows peaked at 30.8 MB. In blocks it needs
+        # one block's layer sequence, h and c plus one step in flight
+        # (step_in, gates and the new c and h); the largest block here is
+        # the last, 512 + 320 rows (about 3.3 MB with the scores).
         net = init_params((7, 32, 32, 32), seed=1)
         x = np.random.default_rng(2).random((8000, 6, 7))
         tracemalloc.start()
@@ -210,7 +241,7 @@ class TestForward:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 34e6
+        assert peak < 4e6
 
     def test_train_mode_without_rng_rejected(self):
         net = init_params((3, 4), seed=0, dropout_rate=0.1)

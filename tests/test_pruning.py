@@ -120,6 +120,19 @@ class TestSwdSubset:
         expect = set(cand[lowest_quantile_subset(np.abs(w.ravel()[cand]), t)])
         assert set(np.flatnonzero(sel_flat)) == expect
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.05, 1.0), st.floats(0.0, 0.5))
+    def test_ties_match_the_oracle(self, seed, t, a):
+        # one decimal leaves about 25 distinct magnitudes for 40 weights,
+        # so the k-th smallest is often tied and the lowest indices win
+        rng = np.random.default_rng(seed)
+        w = np.round(rng.normal(size=40), 1)
+        mask = compute_mask(w, float(rng.uniform(0, 0.8)))
+        sel = select_swd_subset(w, mask, a=a, t=t)
+        cand = np.flatnonzero(mask.astype(bool) & (np.abs(w) > a))
+        expect = cand[lowest_quantile_subset(np.abs(w[cand]), t)]
+        np.testing.assert_array_equal(np.flatnonzero(sel), np.sort(expect))
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.05, 1.0), st.floats(0.0, 0.5))
     def test_each_row_is_its_own_tensor(self, seed, t, a):

@@ -12,6 +12,10 @@ stdout. The commands:
   run of BPTT at t >= 1);
 - ``quantize`` of every ``baseline.eidm`` and ``pruned.eidm``;
 - ``evaluate --out`` on the test split and ``dump`` of every model;
+- ``evaluate --out`` of the seed-1 ``baseline.eidm`` and the seed-42 int8
+  pruned model on the 4000-row train split, the only T = 1 batch larger than
+  one eval block (``lstm_net.EVAL_BLOCK_ROWS``), so it runs several blocks
+  and a longer last one;
 - ``predict`` on the int8 pruned model of the seed-42 run;
 - a 3000-row ``bench/unswgen`` CSV through ``preprocess``, and a T = 6
   ``evaluate`` of a seeded 3x32 float model and its int8 copy.
@@ -171,6 +175,10 @@ def run_all(run: Run) -> None:
         run.call(f"evaluate-{name}", cli.main,
                  ["evaluate", model, os.path.join(data, "test.eidd"),
                   "--out", run.path("eval", name)])
+    for name in ("seed1-baseline", "seed42-pruned_quantized"):
+        run.call(f"evaluate-train-{name}", cli.main,
+                 ["evaluate", dict(models)[name], os.path.join(data, "train.eidd"),
+                  "--out", run.path("eval-train", name)])
     for kind in ("float", "float_q"):
         run.call(f"evaluate-unsw-{kind}", cli.main,
                  ["evaluate", os.path.join(unsw, f"{kind}.eidm"),
