@@ -24,9 +24,9 @@ from .config import RunConfig, load_config
 from .dsd_trainer import train_dsd
 from .errors import (ConfigError, EdgenetError, EmptySplit, NonFiniteLoss,
                      NonFiniteScore, SingleClassInput, StoreError)
-from .lstm_net import scores as float_scores
+from .lstm_net import scores
 from .metrics import METRICS_CSV_HEADER, confusion, metrics_from_confusion, roc_curve
-from .quantizer import quantize_model, quantized_scores
+from .quantizer import quantize_model
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -95,10 +95,7 @@ def cmd_quantize(model_in: str, model_out: str) -> int:
 
 def _model_scores(loaded: store.LoadedModel, features: np.ndarray) -> np.ndarray:
     """Scores for every row; a NaN or infinite score is an error, never a label."""
-    if loaded.kind == "quantized":
-        p = quantized_scores(loaded.qmodel, features)
-    else:
-        p = float_scores(loaded.params, features)
+    p = scores(loaded.params, features)
     bad = np.count_nonzero(~np.isfinite(p))
     if bad:
         raise NonFiniteScore(f"the model scored {bad} of {len(p)} rows as NaN or infinite")

@@ -189,10 +189,8 @@ def config_from_dict(doc) -> RunConfig:
     return _parse(RunConfig(), doc)
 
 
-def load_config(path: str | None) -> RunConfig:
-    """Load a config file; a missing path yields pure defaults (no schema)."""
-    if path is None:
-        return RunConfig()
+def load_config(path: str) -> RunConfig:
+    """Load a config file."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:

@@ -319,8 +319,8 @@ def load_dataset(path: str) -> DatasetSplit:
         raise StoreError(f"{path}: payload is {len(buf) - off} bytes, expected {need}")
     feats = np.frombuffer(buf, dtype="<f4", count=n * f, offset=off)
     labels = np.frombuffer(buf, dtype=np.uint8, count=n, offset=off + n * f * 4)
-    if not np.isfinite(feats).all():
-        raise StoreError(f"{path} holds non-finite features")
+    if not ((feats >= 0.0) & (feats <= 1.0)).all():  # NaN and inf fail too
+        raise StoreError(f"{path} holds a feature outside [0, 1]")
     if (labels > 1).any():
         raise StoreError(f"{path} holds a label outside {{0, 1}}")
     return DatasetSplit(features=feats.astype(np.float64).reshape(n, f),

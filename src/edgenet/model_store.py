@@ -20,6 +20,9 @@ readers never see partial files.
 Writers and readers share one ``TensorRecord`` per tensor. Only payloads
 carry a CRC: a header that does not parse raises StoreError, but one that
 parses to other valid values loads as a different model.
+
+``load_model`` decodes every record, int8 weights dequantized, into the one
+float64 network that is scored; ``quantizer.dequantized_net`` is its reference.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .errors import (BadMagic, CrcMismatch, EdgenetError, MaskViolation,
                      StoreError, VersionUnsupported)
 from .lstm_net import NetworkParams, zeros_params
 from .pruning import SparsityMask
-from .quantizer import Q_MAX, Q_MIN, QuantizedModel, QuantizedTensor, QuantParams
+from .quantizer import Q_MAX, Q_MIN, QuantizedModel, QuantizedTensor, QuantParams, dequantize
 
 MAGIC = b"EIDM"
 VERSION = 1
@@ -96,10 +99,16 @@ class TensorRecord:
 
 @dataclass
 class LoadedModel:
-    kind: str  # "float" | "quantized"
-    params: NetworkParams | None = None
+    """A decoded container: ``params`` is always the float64 network to score
+    (dequantized for int8), ``qmodel`` an int8 container's tensors as stored."""
+
+    params: NetworkParams
     qmodel: QuantizedModel | None = None
     mask: SparsityMask | None = None
+
+    @property
+    def kind(self) -> str:
+        return "float" if self.qmodel is None else "quantized"
 
 
 def _encode_payload(arr: np.ndarray, dtype: int, keep: np.ndarray | None) -> bytes:
@@ -258,7 +267,7 @@ def save_quantized(qm: QuantizedModel, path: str) -> None:
 
 
 def load_model(path: str) -> LoadedModel:
-    """Load any container, auto-detecting float vs quantized payloads.
+    """Load any container as the float64 network it scores (int8 dequantized).
 
     Contents that cannot form a valid model (bad architecture, tensor names
     or shapes that do not fit it, invalid quantization parameters) raise
@@ -283,8 +292,8 @@ def _assemble_model(arch: dict, records: list[TensorRecord]) -> LoadedModel:
         raise StoreError(f"layer_sizes {sizes} imply {implied} entries, the records hold {stored}")
     if arch["tied_output_gate"] is not False:
         raise StoreError(f"tied_output_gate must be false, got {arch['tied_output_gate']!r}")
-    template = zeros_params(sizes, dropout_rate=arch["dropout_rate"])
-    views = template.tensors()
+    net = zeros_params(sizes, dropout_rate=arch["dropout_rate"])
+    views = net.tensors()
     if {r.name: r.shape for r in records} != {name: v.shape for name, v in views.items()}:
         raise StoreError("tensor names or shapes do not fit the architecture")
     int8 = any(r.dtype == DTYPE_I8 for r in records)
@@ -295,20 +304,18 @@ def _assemble_model(arch: dict, records: list[TensorRecord]) -> LoadedModel:
         values, keep = r.decode()
         if keep is not None:
             masks[r.name] = keep
-        if not int8:
-            views[r.name][...] = values
-        elif r.dtype == DTYPE_I8:
-            weights[r.name] = QuantizedTensor(values, QuantParams(r.scale, r.zero_point))
-        elif not np.isfinite(values).all():  # a bad container, not a bad score
-            raise StoreError(f"float32 tensor '{r.name}' of an int8 model holds NaN or inf")
-        else:
+        if r.dtype == DTYPE_I8:
+            qt = weights[r.name] = QuantizedTensor(values, QuantParams(r.scale, r.zero_point))
+            values = dequantize(qt)
+        elif int8:
+            if not np.isfinite(values).all():  # a bad container, not a bad score
+                raise StoreError(f"float32 tensor '{r.name}' of an int8 model holds NaN or inf")
             biases[r.name] = values
+        views[r.name][...] = values  # the cast with_tensors applies: -0.0 stays -0.0
     mask = SparsityMask(masks) if masks else None
-    if not int8:
-        return LoadedModel(kind="float", params=template, mask=mask)
-    qm = QuantizedModel(weights=weights, biases=biases, layer_sizes=template.layer_sizes,
-                        dropout_rate=template.dropout_rate, mask=mask)
-    return LoadedModel(kind="quantized", qmodel=qm, mask=mask)
+    qm = QuantizedModel(weights=weights, biases=biases, layer_sizes=net.layer_sizes,
+                        dropout_rate=net.dropout_rate, mask=mask) if int8 else None
+    return LoadedModel(params=net, qmodel=qm, mask=mask)
 
 
 def inspect(path: str) -> list[TensorRecord]:

@@ -110,14 +110,14 @@ def quantize_model(net: NetworkParams, mask: SparsityMask | None = None) -> Quan
 
 
 def dequantized_net(qm: QuantizedModel) -> NetworkParams:
-    """Float network with weights recovered via r = S * (q - Z)."""
+    """Float network with weights r = S * (q - Z); the reference for load_model's."""
     template = zeros_params(qm.layer_sizes, dropout_rate=qm.dropout_rate)
     return template.with_tensors({name: dequantize(qt) for name, qt in qm.weights.items()}
                                  | qm.biases)
 
 
 def quantized_scores(qm: QuantizedModel, x: np.ndarray) -> np.ndarray:
-    """Eval probabilities for feature rows (B, F) or a batch (B, T, D)."""
+    """Eval probabilities for rows (B, F) or a batch (B, T, D); the int8 reference."""
     x = to_sequences(x, qm.layer_sizes[0])
     p, _ = forward_batch(dequantized_net(qm), x, mode="eval")
     return p

@@ -7,13 +7,14 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from edgenet.cli import build_parser, main
+from edgenet.cli import _model_scores, build_parser, main
 from edgenet.config import RunConfig, config_from_dict
 from edgenet.data_pipeline import (ColumnSpec, DatasetSplit, FeatureSchema, save_dataset,
                                    split_indices)
-from edgenet.lstm_net import init_params, zeros_params
-from edgenet.model_store import save_dense, save_quantized
-from edgenet.quantizer import quantize_model
+from edgenet.lstm_net import NetworkParams, init_params, zeros_params
+from edgenet.model_store import load_model, save_dense, save_quantized
+from edgenet.pruning import apply_masks, compute_masks
+from edgenet.quantizer import quantize_model, quantized_scores
 from edgenet.synthetic import config_dict, make_synthetic, write_csv
 
 
@@ -361,6 +362,34 @@ class TestErrorPaths:
         assert main(["train", "--config", cfg, "--data", str(data), "--out", str(out)]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "zero features" in captured.err and not out.exists()
+
+    @pytest.mark.parametrize("bad", [1e38, -5.0, 1.0000001, np.nan])
+    def test_out_of_range_dataset_evaluate_exit_3(self, tmp_path, capsys, bad):
+        model = str(tmp_path / "zero.eidm")
+        save_dense(zeros_params((3, 4), dropout_rate=0.0), model)
+        features = np.full((4, 3), 0.5)
+        features[2, 1] = bad
+        data = str(tmp_path / "bad.eidd")
+        save_dataset(DatasetSplit(features=features, labels=np.array([0, 1, 0, 1])), data)
+        assert main(["evaluate", model, data]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{data} holds a feature outside [0, 1]" in captured.err
+
+    def test_out_of_range_dataset_train_exit_3(self, workdir, capsys):
+        tmp, cfg, csv = workdir
+        data = tmp / "data"
+        assert main(["preprocess", "--config", cfg, "--csv", csv, "--out", str(data)]) == 0
+        train = data / "train.eidd"
+        blob = bytearray(train.read_bytes())
+        blob[12:16] = struct.pack("<f", -5.0)  # the first feature of the first row
+        train.write_bytes(bytes(blob))
+        capsys.readouterr()
+        out = tmp / "model"
+        assert main(["train", "--config", cfg, "--data", str(data), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert f"{train} holds a feature outside [0, 1]" in captured.err
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_features_rejected(self, tmp_path, capsys, bad):
@@ -775,3 +804,38 @@ class TestQuantizeIdempotence:
         assert main(["quantize", base, q1]) == 0
         assert main(["quantize", q1, q2]) == 0
         assert open(q1, "rb").read() == open(q2, "rb").read()
+
+
+class TestOneScoringPath:
+    """Every container is scored through the float64 network load_model
+    returns; for int8 that network is the reference dequantized_net."""
+
+    def test_int8_predict_builds_one_network(self, tmp_path, capsys, monkeypatch):
+        model = str(tmp_path / "q.eidm")
+        save_quantized(quantize_model(init_params((3, 4, 4), seed=0)), model)
+        built = []
+        post_init = NetworkParams.__post_init__
+        monkeypatch.setattr(NetworkParams, "__post_init__",
+                            lambda net: built.append(net) or post_init(net))
+        assert main(["predict", model, "--features", "0.5,0.1,0.9"]) == 0
+        assert len(built) == 1
+        assert set(json.loads(capsys.readouterr().out)) == {"probability", "label"}
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("steps", [1, 2])
+    @pytest.mark.parametrize("rows", [1, 5, 1027])
+    def test_int8_scores_equal_the_reference_path(self, tmp_path, sparse, steps, rows):
+        net = init_params((3, 5, 4), seed=3, dropout_rate=0.0)
+        mask = None
+        if sparse:
+            tree = net.tensors()
+            mask = compute_masks({n: tree[n] for n in net.weight_names()}, 0.7)
+            net = net.with_tensors(apply_masks(tree, mask))
+        model = str(tmp_path / "q.eidm")
+        save_quantized(quantize_model(net, mask=mask), model)
+        loaded = load_model(model)
+        assert (loaded.mask is not None) == sparse
+        x = np.random.default_rng(rows).random((rows, 3 * steps))
+        got = _model_scores(loaded, x)
+        expected = quantized_scores(load_model(model).qmodel, x)
+        assert got.shape == (rows,) and got.tobytes() == expected.tobytes()

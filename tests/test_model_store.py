@@ -215,8 +215,12 @@ class TestQuantized:
         save_quantized(quantize_model(net), q)
         dense, quantized = load_model(d), load_model(q)
         assert (dense.kind, dense.mask, dense.qmodel) == ("float", None, None)
-        assert quantized.kind == "quantized" and quantized.params is None
-        assert quantized.mask is None
+        assert quantized.kind == "quantized" and quantized.mask is None
+        # an int8 load holds the reference dequantization, byte for byte
+        got, ref = quantized.params.tensors(), dequantized_net(quantized.qmodel).tensors()
+        assert list(got) == list(ref)
+        for name, arr in got.items():
+            assert arr.dtype == np.float64 and arr.tobytes() == ref[name].tobytes(), name
 
 
 def oracle_containers(tmp_path) -> dict[str, str]:
@@ -238,8 +242,9 @@ def oracle_containers(tmp_path) -> dict[str, str]:
 
 
 class TestDecodeOracle:
-    """load_model and dequantized_net against a field-by-field decode of the
-    same bytes, compared byte for byte so that signed zeros count."""
+    """load_model's network (and, for int8, dequantized_net) against a
+    field-by-field decode of the same bytes, compared byte for byte so that
+    signed zeros count."""
 
     @pytest.mark.parametrize("kind", ["dense", "sparse", "int8", "sparse_int8"])
     def test_load_matches_the_reference_decode(self, tmp_path, kind):
@@ -254,9 +259,8 @@ class TestDecodeOracle:
             assert m.dtype == np.uint8 and m.shape == ref[name]["shape"]
             assert m.tobytes() == ref[name]["keep"].tobytes()
 
-        if loaded.kind == "float":
-            tensors = loaded.params.tensors()
-        else:
+        nets = [loaded.params.tensors()]
+        if loaded.kind == "quantized":
             qm = loaded.qmodel
             assert set(qm.weights) | set(qm.biases) == set(ref)
             for name, qt in qm.weights.items():
@@ -266,16 +270,17 @@ class TestDecodeOracle:
                 assert (qt.params.scale, qt.params.zero_point) == (r["scale"], r["zero_point"])
             for name, b in qm.biases.items():
                 assert b.dtype == np.float32 and b.tobytes() == ref[name]["values"].tobytes()
-            tensors = dequantized_net(qm).tensors()
-        assert set(tensors) == set(ref)
+            nets.append(dequantized_net(qm).tensors())
         assert loaded.kind == ("float" if kind in ("dense", "sparse") else "quantized")
-        for name, r in ref.items():
-            if r["dtype"] == DTYPE_I8:  # r = S * (q - Z), per gate tensor
-                expected = r["scale"] * (r["values"].astype(np.float64) - r["zero_point"])
-            else:
-                expected = r["values"].astype(np.float64)
-            assert tensors[name].dtype == np.float64 and tensors[name].shape == r["shape"]
-            assert tensors[name].tobytes() == expected.tobytes(), name
+        for tensors in nets:
+            assert set(tensors) == set(ref)
+            for name, r in ref.items():
+                if r["dtype"] == DTYPE_I8:  # r = S * (q - Z), per gate tensor
+                    expected = r["scale"] * (r["values"].astype(np.float64) - r["zero_point"])
+                else:
+                    expected = r["values"].astype(np.float64)
+                assert tensors[name].dtype == np.float64 and tensors[name].shape == r["shape"]
+                assert tensors[name].tobytes() == expected.tobytes(), name
 
     def test_fixture_holds_negative_zeros(self, tmp_path):
         ref = naive_container(oracle_containers(tmp_path)["dense"])

@@ -21,9 +21,11 @@ stdout. The commands:
   ``evaluate`` of a seeded 3x32 float model and its int8 copy.
 
 Each model container written is also hashed as ``load_model`` decodes it:
-its float64 tensors (dequantized for int8), masks, and int8 scales and
-zero points. So a change to the reader is checked value by value, not only
-through what the commands print.
+the float64 network it returns (dequantized for int8), masks, and int8
+scales and zero points. So a change to the reader is checked value by value,
+not only through what the commands print. A tree whose loader returns no
+network for an int8 model is hashed through ``quantizer.dequantized_net``
+under the same name, so its printout can be compared with one that does.
 
 Two source trees produce the same outputs when their printouts match:
 
@@ -95,17 +97,19 @@ class Run:
 
     def decoded_hashes(self, path: str) -> None:
         """Three hashes of a container as ``load_model`` decodes it: every
-        float64 tensor (an int8 model's after ``dequantized_net``), every
-        mask, and each int8 tensor's scale and zero point."""
+        float64 tensor of the network it returns (or, when it returns none,
+        of ``dequantized_net`` of its int8 model), every mask, and each int8
+        tensor's scale and zero point."""
         from edgenet import model_store, quantizer
 
         loaded = model_store.load_model(path)
-        if loaded.kind == "quantized":
+        net = loaded.params
+        if net is None:
             net = quantizer.dequantized_net(loaded.qmodel)
+        quant = b""
+        if loaded.qmodel is not None:
             quant = "".join(f"{name} {qt.params.scale!r} {qt.params.zero_point}\n"
                             for name, qt in loaded.qmodel.weights.items()).encode("utf-8")
-        else:
-            net, quant = loaded.params, b""
         masks = loaded.mask.masks if loaded.mask is not None else {}
         rel = os.path.relpath(path, self.work)
         for part, blob in (("tensors", _named_bytes(net.tensors())),
