@@ -33,15 +33,23 @@ Only a train-mode forward records what ``backward`` reads: one tuple
 step_in is the very array the step multiplied by the stacked weight (x_0,
 then [h_prev, x_t]), and the head input. Eval mode, which every scoring path
 uses, records none of it (no step records, no head input). It scores a batch
-``EVAL_BLOCK_ROWS`` rows at a time, replaces each layer's input sequence of
-a block step by step with its output and carries only h and c from one step
-to the next, so it holds one block's layer sequence plus the step in flight,
-whatever the batch size.
+in blocks of ``EVAL_BLOCK_ROWS`` rows, replaces each layer's input sequence
+of a block step by step with its output and carries only h and c from one
+step to the next, so each block in flight holds only its layer sequence
+plus the step being computed, whatever the batch size. A batch of more than
+one block is scored on the CPUs the process may use: the calling thread and
+up to one helper thread per further CPU each take the next unscored block,
+and the block scores are joined in block order. Rows are independent and
+each block's arithmetic is the same on any thread, so the scores are those
+of the whole batch, bit for bit, on any number of CPUs.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,16 +62,17 @@ GATES = "fijo"  # row-block order of the stacked weight and bias
 
 BCE_CLAMP = 1e-7
 
-# Rows per block of an eval forward. At H = 32 a block's (rows, 4H) float64
-# gate array is 512 KB and stays in L2 (2 MiB per core on the VM below), where
-# a whole 8000-row batch's (8 MB) does not. Scoring an (8000, 6, 7) batch
-# through a 3x32 net on a 2-vCPU VM (one BLAS thread, median of 11) took 196
-# ms in blocks of 256 rows, 180 ms at 512, 192 ms at 1024, 214 ms at 2048 and
-# 232 ms as one block. The last block takes the remainder (up to 1023 rows),
+# Rows per block of an eval forward. Scoring an (8000, 6, 7) batch through a
+# 3x32 net on a 2-vCPU VM (one BLAS thread, two workers, 21 interleaved runs)
+# took a median 128 ms in blocks of 128 rows, 98 ms at 256, 93 ms at 512 and
+# 107 ms at 1024; the quartiles of 256 and 512 overlap (95-111 and 88-107
+# ms). The tracemalloc peak was 1.4, 2.4, 5.0-5.4 and 8.7-11 MB, and 3.3 MB
+# at 512 on one thread: two 256-row blocks in flight hold less than one
+# 512-row block did. The last block takes the remainder (256 to 511 rows),
 # because OpenBLAS multiplies a block of a dozen rows or fewer with kernels
-# that sum in another order; block starts at multiples of 512 group rows as
+# that sum in another order; block starts at multiples of 256 group rows as
 # the whole batch does, so every score keeps its bits.
-EVAL_BLOCK_ROWS = 512
+EVAL_BLOCK_ROWS = 256
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -267,8 +276,9 @@ def forward_batch(net: NetworkParams, x: np.ndarray, mode: str = "eval",
     drawn from ``rng``, and ``ForwardCache.steps`` holds one record per
     layer and step for ``backward``. Eval mode records none (``steps`` is
     empty, which ``backward`` rejects, and ``head_input`` is None) and runs
-    the rows ``EVAL_BLOCK_ROWS`` at a time; rows are independent, so the
-    scores are those of the whole batch, bit for bit.
+    the rows ``EVAL_BLOCK_ROWS`` at a time, on up to one thread per CPU the
+    process may use; rows are independent, so the scores are those of the
+    whole batch, bit for bit. A one-block batch starts no thread.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -282,8 +292,8 @@ def forward_batch(net: NetworkParams, x: np.ndarray, mode: str = "eval",
         # B // EVAL_BLOCK_ROWS blocks (at least one); the last runs to the end
         n_blocks = max(len(x) // EVAL_BLOCK_ROWS, 1)
         bounds = [k * EVAL_BLOCK_ROWS for k in range(n_blocks)] + [len(x)]
-        p = np.concatenate([_head(net, _run_layers(net, x[lo:hi]))
-                            for lo, hi in zip(bounds, bounds[1:])])
+        blocks = [x[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        p = np.concatenate(_score_blocks(net, blocks))
         return p, ForwardCache(steps=[], head_input=None, p=p)
     if net.dropout_rate > 0.0 and rng is None:
         raise ConfigError("train-mode forward with dropout needs an rng")
@@ -291,6 +301,56 @@ def forward_batch(net: NetworkParams, x: np.ndarray, mode: str = "eval",
     head_input = _run_layers(net, x, net.dropout_rate, rng, steps)
     p = _head(net, head_input)
     return p, ForwardCache(steps=steps, head_input=head_input, p=p)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _score_blocks(net: NetworkParams, blocks: list[np.ndarray]) -> list:
+    """Eval scores of each block, in block order. With W = min(CPUs, blocks)
+    workers, the calling thread and W - 1 helper threads each take the next
+    unscored block; with one worker no thread starts.
+
+    numpy's error state is a context variable, which a new thread does not
+    inherit, so each block runs in a copy of the calling thread's context.
+    Helpers call only untraced code (``_run_layers``, ``_head``). The first
+    error stops every thread from taking another block and is raised here.
+    """
+    workers = min(_cpu_count(), len(blocks))
+    if workers == 1:
+        return [_score_block(net, block) for block in blocks]
+    contexts = [contextvars.copy_context() for _ in blocks]
+    scored: list = [None] * len(blocks)
+    todo, lock, errors = iter(range(len(blocks))), threading.Lock(), []
+
+    def work():
+        while True:
+            with lock:
+                k = None if errors else next(todo, None)
+            if k is None:
+                return
+            try:
+                scored[k] = contexts[k].run(_score_block, net, blocks[k])
+            except Exception as exc:  # raised again in the calling thread
+                with lock:
+                    errors.append(exc)
+
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in helpers:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return scored
 
 
 def _run_layers(net: NetworkParams, x: np.ndarray, rate: float = 0.0,
@@ -323,6 +383,10 @@ def _run_layers(net: NetworkParams, x: np.ndarray, rate: float = 0.0,
 
 def _head(net: NetworkParams, head_input: np.ndarray) -> np.ndarray:
     return sigmoid(head_input @ net.head_w + net.head_b)
+
+
+def _score_block(net: NetworkParams, block: np.ndarray) -> np.ndarray:
+    return _head(net, _run_layers(net, block))
 
 
 def bce_loss(p, y):

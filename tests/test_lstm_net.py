@@ -1,5 +1,9 @@
+import itertools
 import json
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -203,7 +207,8 @@ class TestForward:
 
     @pytest.mark.parametrize("int8", [False, True], ids=["float", "int8"])
     @pytest.mark.parametrize("seq_len", [1, 6])
-    @pytest.mark.parametrize("rows", [0, EVAL_BLOCK_ROWS, 2 * EVAL_BLOCK_ROWS + 3])
+    @pytest.mark.parametrize("rows", [0, EVAL_BLOCK_ROWS, 2 * EVAL_BLOCK_ROWS,
+                                      2 * EVAL_BLOCK_ROWS + 3, 4 * EVAL_BLOCK_ROWS + 3])
     def test_blocked_eval_equals_whole_batch(self, rows, seq_len, int8):
         # rows are independent, so scoring in blocks changes no bit
         net = init_params((7, 32, 32, 32), seed=1)
@@ -215,24 +220,29 @@ class TestForward:
         assert p.tobytes() == whole_batch_scores(net, x).tobytes()
 
     @pytest.mark.parametrize("rows,blocks", [
-        (0, [0]), (EVAL_BLOCK_ROWS + 3, [EVAL_BLOCK_ROWS + 3]),
-        (2 * EVAL_BLOCK_ROWS, [EVAL_BLOCK_ROWS] * 2),
-        (3 * EVAL_BLOCK_ROWS - 1, [EVAL_BLOCK_ROWS, 2 * EVAL_BLOCK_ROWS - 1]),
+        (0, [0]), (2 * EVAL_BLOCK_ROWS + 3, [EVAL_BLOCK_ROWS, EVAL_BLOCK_ROWS + 3]),
+        (4 * EVAL_BLOCK_ROWS, [EVAL_BLOCK_ROWS] * 4),
+        (6 * EVAL_BLOCK_ROWS - 1, [EVAL_BLOCK_ROWS] * 4 + [2 * EVAL_BLOCK_ROWS - 1]),
+        (EVAL_BLOCK_ROWS + 3, [EVAL_BLOCK_ROWS + 3]),
     ])
     def test_last_eval_block_takes_the_remainder(self, monkeypatch, rows, blocks):
-        # never a block of a few rows, which BLAS sums in another order
+        # never a block of a few rows, which BLAS sums in another order; one
+        # worker, so that the blocks are seen in order on any host
+        monkeypatch.setattr(lstm_net, "_cpu_count", lambda: 1)
         seen, run_layers = [], lstm_net._run_layers
         monkeypatch.setattr(lstm_net, "_run_layers",
                             lambda net, x: seen.append(len(x)) or run_layers(net, x))
         forward_batch(init_params((3, 4), seed=0), np.zeros((rows, 2, 3)), mode="eval")
         assert seen == blocks
 
-    def test_eval_forward_peak_memory(self):
+    def test_eval_forward_peak_memory(self, monkeypatch):
         # The train-mode cache of this batch holds about 240 MB, and scoring
         # it in one pass over all rows peaked at 30.8 MB. In blocks it needs
-        # one block's layer sequence, h and c plus one step in flight
-        # (step_in, gates and the new c and h); the largest block here is
-        # the last, 512 + 320 rows (about 3.3 MB with the scores).
+        # per block in flight that block's layer sequence, h and c plus one
+        # step (step_in, gates and the new c and h). Two workers, as on a
+        # 2-CPU host: the last block, 256 + 64 rows, and one other 256-row
+        # block in flight take about 2.4 MB with the scores.
+        monkeypatch.setattr(lstm_net, "_cpu_count", lambda: 2)
         net = init_params((7, 32, 32, 32), seed=1)
         x = np.random.default_rng(2).random((8000, 6, 7))
         tracemalloc.start()
@@ -242,6 +252,52 @@ class TestForward:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    def test_threaded_eval_equals_whole_batch(self, monkeypatch, deadline):
+        # more workers than cores, and a thread switch as often as the
+        # interpreter allows: every block lands in its place with its bits
+        monkeypatch.setattr(lstm_net, "_cpu_count", lambda: 8)
+        net = init_params((7, 32, 32, 32), seed=1)
+        nets = {"float": net, "int8": dequantized_net(quantize_model(net))}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        deadline(60)
+        try:
+            for (kind, net), rows, seq_len in itertools.product(
+                    nets.items(), (1, 256, 257, 767, 4000), (1, 6)):
+                x = np.random.default_rng(rows + seq_len).random((rows, seq_len, 7))
+                p, _ = forward_batch(net, x, mode="eval")
+                assert p.tobytes() == whole_batch_scores(net, x).tobytes(), (kind, rows, seq_len)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cpus,rows,helpers", [
+        (8, 1, 0), (8, 2 * EVAL_BLOCK_ROWS - 1, 0), (8, 2 * EVAL_BLOCK_ROWS, 1),
+        (8, 4000, 7), (2, 4000, 1), (1, 4000, 0),
+    ])
+    def test_eval_helper_threads(self, monkeypatch, cpus, rows, helpers):
+        # one helper per CPU beyond the caller's, at most one per block
+        # beyond the first: a one-block batch starts no thread
+        monkeypatch.setattr(lstm_net, "_cpu_count", lambda: cpus)
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        forward_batch(init_params((3, 4), seed=0), np.zeros((rows, 2, 3)), mode="eval")
+        assert len(started) == helpers
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_threaded_eval_keeps_the_callers_error_state(self, monkeypatch):
+        # numpy's error state is per context, and a new thread starts from
+        # the default one: each block must run under the caller's
+        monkeypatch.setattr(lstm_net, "_cpu_count", lambda: 2)
+        net = init_params((7, 32), seed=1)
+        net.layers[0].w[...] = net.layers[0].b[...] = 1e308
+        x = np.full((600, 1, 7), 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with np.errstate(over="ignore"):
+                p, _ = forward_batch(net, x, mode="eval")
+        assert p.shape == (600,)
 
     def test_train_mode_without_rng_rejected(self):
         net = init_params((3, 4), seed=0, dropout_rate=0.1)
