@@ -68,7 +68,9 @@ BCE_CLAMP = 1e-7
 # 107 ms at 1024; the quartiles of 256 and 512 overlap (95-111 and 88-107
 # ms). The tracemalloc peak was 1.4, 2.4, 5.0-5.4 and 8.7-11 MB, and 3.3 MB
 # at 512 on one thread: two 256-row blocks in flight hold less than one
-# 512-row block did. The last block takes the remainder (256 to 511 rows),
+# 512-row block did. On one CPU the two sizes were within noise (medians of
+# 10 alternating processes, 154-165 ms for either). Each further worker
+# holds one more block. The last block takes the remainder (256 to 511 rows),
 # because OpenBLAS multiplies a block of a dozen rows or fewer with kernels
 # that sum in another order; block starts at multiples of 256 group rows as
 # the whole batch does, so every score keeps its bits.
@@ -319,26 +321,26 @@ def _score_blocks(net: NetworkParams, blocks: list[np.ndarray]) -> list:
     numpy's error state is a context variable, which a new thread does not
     inherit, so each block runs in a copy of the calling thread's context.
     Helpers call only untraced code (``_run_layers``, ``_head``). The first
-    error stops every thread from taking another block and is raised here.
+    exception in any worker, an interrupt of the calling thread included,
+    stops every worker from taking another block and is raised here once
+    every helper has returned.
     """
     workers = min(_cpu_count(), len(blocks))
-    if workers == 1:
-        return [_score_block(net, block) for block in blocks]
     contexts = [contextvars.copy_context() for _ in blocks]
     scored: list = [None] * len(blocks)
     todo, lock, errors = iter(range(len(blocks))), threading.Lock(), []
 
     def work():
-        while True:
-            with lock:
-                k = None if errors else next(todo, None)
-            if k is None:
-                return
-            try:
-                scored[k] = contexts[k].run(_score_block, net, blocks[k])
-            except Exception as exc:  # raised again in the calling thread
+        try:
+            while True:
                 with lock:
-                    errors.append(exc)
+                    k = None if errors else next(todo, None)
+                if k is None:
+                    return
+                scored[k] = contexts[k].run(_score_block, net, blocks[k])
+        except BaseException as exc:  # raised again in the calling thread
+            with lock:
+                errors.append(exc)
 
     helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
     for thread in helpers:

@@ -235,6 +235,19 @@ class TestForward:
         forward_batch(init_params((3, 4), seed=0), np.zeros((rows, 2, 3)), mode="eval")
         assert seen == blocks
 
+    @staticmethod
+    def eval_forward_peak(monkeypatch, cpus):
+        """tracemalloc peak of an (8000, 6, 7) eval forward through 3x32."""
+        monkeypatch.setattr(lstm_net, "_cpu_count", lambda: cpus)
+        net = init_params((7, 32, 32, 32), seed=1)
+        x = np.random.default_rng(2).random((8000, 6, 7))
+        tracemalloc.start()
+        try:
+            forward_batch(net, x, mode="eval")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_eval_forward_peak_memory(self, monkeypatch):
         # The train-mode cache of this batch holds about 240 MB, and scoring
         # it in one pass over all rows peaked at 30.8 MB. In blocks it needs
@@ -242,16 +255,13 @@ class TestForward:
         # step (step_in, gates and the new c and h). Two workers, as on a
         # 2-CPU host: the last block, 256 + 64 rows, and one other 256-row
         # block in flight take about 2.4 MB with the scores.
-        monkeypatch.setattr(lstm_net, "_cpu_count", lambda: 2)
-        net = init_params((7, 32, 32, 32), seed=1)
-        x = np.random.default_rng(2).random((8000, 6, 7))
-        tracemalloc.start()
-        try:
-            forward_batch(net, x, mode="eval")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4e6
+        assert self.eval_forward_peak(monkeypatch, 2) < 4e6
+
+    def test_eval_forward_peak_memory_at_eight_workers(self, monkeypatch):
+        # every worker holds one block in flight, about 0.9 MB here: eight
+        # workers took 6.3-7.7 MB, still far under the 30.8 MB of one pass
+        # over all rows (31 workers, one per block, took about 28 MB)
+        assert self.eval_forward_peak(monkeypatch, 8) < 10e6
 
     def test_threaded_eval_equals_whole_batch(self, monkeypatch, deadline):
         # more workers than cores, and a thread switch as often as the
@@ -298,6 +308,44 @@ class TestForward:
             with np.errstate(over="ignore"):
                 p, _ = forward_batch(net, x, mode="eval")
         assert p.shape == (600,)
+
+    def test_error_in_a_worker_is_raised_after_every_helper_returns(self, monkeypatch):
+        # the same overflow with numpy's default error state: each block
+        # warns, which is an error here, and the caller raises it
+        monkeypatch.setattr(lstm_net, "_cpu_count", lambda: 2)
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        net = init_params((7, 32), seed=1)
+        net.layers[0].w[...] = net.layers[0].b[...] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                forward_batch(net, np.full((600, 1, 7), 0.3), mode="eval")
+        assert len(started) == 1
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_interrupt_in_the_caller_stops_the_helpers(self, monkeypatch, deadline):
+        # Ctrl-C (or a deadline) in the calling thread: the helper takes no
+        # block after it, and the interrupt is raised once the helper returns
+        monkeypatch.setattr(lstm_net, "_cpu_count", lambda: 2)
+        caller, joined, taken = threading.current_thread(), threading.Event(), []
+
+        def score_block(net, block):
+            taken.append(threading.current_thread())
+            if threading.current_thread() is caller:
+                raise KeyboardInterrupt
+            joined.wait(10)  # the helper's block ends once the caller joins it
+            return np.zeros(len(block))
+
+        join = threading.Thread.join
+        monkeypatch.setattr(threading.Thread, "join", lambda thread: joined.set() or join(thread))
+        monkeypatch.setattr(lstm_net, "_score_block", score_block)
+        deadline(30)
+        with pytest.raises(KeyboardInterrupt):
+            forward_batch(init_params((3, 4), seed=0),
+                          np.zeros((16 * EVAL_BLOCK_ROWS, 2, 3)), mode="eval")
+        assert taken.count(caller) == 1 and len(taken) <= 2
 
     def test_train_mode_without_rng_rejected(self):
         net = init_params((3, 4), seed=0, dropout_rate=0.1)
