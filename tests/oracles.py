@@ -6,10 +6,13 @@ transcription) and shares no code with the implementation paths it judges.
 
 from __future__ import annotations
 
+import csv
+import math
 import struct
 
 import numpy as np
 
+from edgenet.errors import BadCsv, EmptyFile, MissingColumn, ParseError
 from edgenet.lstm_net import _cell_math, bce_loss, forward_batch, sigmoid
 
 
@@ -157,3 +160,54 @@ def naive_container(path: str) -> dict:
                          "zero_point": zero_point, "values": values, "keep": keep}
     assert pos == len(blob)
     return tensors
+
+
+def whole_file_table(path: str, schema) -> dict:
+    """The typed columns of a CSV, read whole: every record first, then each
+    cell parsed on its own with ``float()`` (stripped, for a categorical
+    column). Returns ``{name: array}`` in schema order, or raises the error
+    ``load_csv`` must raise, with the same message; the first bad cell is
+    found by a row-major scan."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            if fh.read(1) != "\ufeff":
+                fh.seek(0)
+            header = [h.strip() for h in next(reader)]
+            missing = [c.name for c in schema.columns if c.name not in header]
+            if missing:
+                raise MissingColumn(missing)
+            twice = [c.name for c in schema.columns if header.count(c.name) > 1]
+            if twice:
+                raise BadCsv(f"{path}: CSV header names column(s) twice: {', '.join(twice)}")
+            records = list(reader)
+        except StopIteration:
+            raise EmptyFile(f"{path} is empty") from None
+        except UnicodeDecodeError as exc:
+            raise BadCsv(f"{path} is not UTF-8 text: {exc.reason}") from None
+        except csv.Error as exc:
+            raise BadCsv(f"{path}, line {reader.line_num}: {exc}") from None
+    if not records:
+        raise EmptyFile(f"{path} has a header but no data rows")
+    values = {c.name: [] for c in schema.columns}
+    for row, record in enumerate(records, start=1):
+        for col in schema.columns:
+            i = header.index(col.name)
+            cell = record[i] if i < len(record) else ""
+            text = cell.strip()
+            if col.kind == "categorical":
+                value, ok = text, text != ""
+            else:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = math.nan
+                ok = value in (0.0, 1.0) if col.kind == "label" else math.isfinite(value)
+            if not ok:
+                raise ParseError(row, col.name,
+                                 "missing value" if text == "" else
+                                 f"label must be 0 or 1, got {text!r}" if col.kind == "label"
+                                 else f"{text!r} is not a finite number")
+            values[col.name].append(int(value) if col.kind == "label" else value)
+    dtypes = {"numeric": np.float64, "categorical": str, "label": np.int64}
+    return {c.name: np.array(values[c.name], dtype=dtypes[c.kind]) for c in schema.columns}

@@ -288,6 +288,25 @@ class TestErrorPaths:
         assert rc == 1
         assert "BadCsv" in err and "field limit" in err
 
+    @pytest.mark.parametrize("defect, message", [
+        (lambda line: b"\xff" + line, "UTF-8"),
+        (lambda line: b"0." + b"1" * 131_072 + line, "field limit"),
+    ], ids=["non_utf8", "oversized_field"])
+    def test_bad_csv_after_a_bad_cell_still_wins(self, tmp_path, capsys, defect, message):
+        # the bad cell is in the first block of records, the defect some
+        # 200 kB later in the third: the whole file is still read
+        cfg, csv = small_config(tmp_path, rows=2_500)
+        lines = (tmp_path / "data.csv").read_bytes().split(b"\n")
+        lines[2] = b"abc," + lines[2].split(b",", 1)[1]
+        lines[2_400] = defect(lines[2_400])
+        assert len(b"\n".join(lines[:2_400])) > 200_000
+        (tmp_path / "data.csv").write_bytes(b"\n".join(lines))
+        assert main(["preprocess", "--config", cfg, "--csv", csv,
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "BadCsv" in err and message in err
+        assert not os.path.exists(tmp_path / "out")
+
     def test_overflowing_column_range_rejected(self, workdir, capsys):
         def spread_f2(blob):
             lines = blob.decode("utf-8").split("\n")

@@ -1,20 +1,25 @@
+import csv
+import io
 import json
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from edgenet import data_pipeline
 from edgenet.data_pipeline import (ColumnSpec, DatasetSplit, EncodingMap,
                                    FeatureSchema, NormStats, RawTable, apply_transform,
                                    fit_label_encoding, fit_minmax, load_csv,
                                    load_dataset, save_dataset,
                                    save_sidecar, split_indices)
-from edgenet.errors import (ConfigError, EmptyFile, MissingColumn,
+from edgenet.errors import (ConfigError, EdgenetError, EmptyFile, MissingColumn,
                             ParseError, ScaleOverflow, StoreError, UnknownCategory)
+from oracles import whole_file_table
 
 
 def schema_dur_proto():
@@ -129,6 +134,146 @@ class TestLoadCsv:
         path = write(tmp_path, "id,dur,proto,label\n9,1.0,tcp,0\n8,2.0,udp,1\n")
         table = load_csv(path, schema_dur_proto())
         assert table.columns == ["dur", "proto", "label"]
+
+    def test_peak_memory_is_one_block_of_cells(self, tmp_path):
+        # 10,000 rows of 20 numbers and a label: a 1.68 MB table. One block
+        # of cells at a time plus the typed columns took 3.4 MB; a reader
+        # that holds every cell of the file as text peaks at 17.9 MB.
+        x = np.random.default_rng(0).random((10_000, 20))
+        text = io.StringIO()
+        text.write(",".join(f"f{j}" for j in range(20)) + ",label\n")
+        np.savetxt(text, np.column_stack([x, x[:, 0] > 0.5]), fmt="%.17g", delimiter=",")
+        path = write(tmp_path, text.getvalue())
+        schema = FeatureSchema(columns=[ColumnSpec(f"f{j}", "numeric") for j in range(20)]
+                               + [ColumnSpec("label", "label")], selected_features=["f0"])
+        tracemalloc.start()
+        try:
+            table = load_csv(path, schema)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 10_000 and table.arrays["f3"].tobytes() == x[:, 3].tobytes()
+        assert peak < 5e6
+
+
+def outcome(read, path, schema):
+    """The (name, dtype, bytes) of each column ``read`` returns, or the class,
+    message, row and column of the error it raises."""
+    try:
+        arrays = read(path, schema)
+    except EdgenetError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+    return [(name, a.dtype.str, a.tobytes()) for name, a in arrays.items()]
+
+
+def streamed(path, schema):
+    return load_csv(path, schema).arrays
+
+
+GOOD_ROWS = [f"{row}.5,{'icmp' if row == 6 else 'tcp' if row % 2 else 'udp'},{row % 2}"
+             for row in range(1, 11)]  # the wider category only in the second block
+DEFECTS = {
+    "numeric": lambda line: "abc," + line.split(",", 1)[1],
+    "label": lambda line: line.rsplit(",", 1)[0] + ",7",
+    "short": lambda line: line.rsplit(",", 1)[0],
+    "blank": lambda line: "",
+}
+# a quoted category with a comma and a line break: records 4 and 5 span two
+# lines each, so the fourth line after the header ends inside record 4, the
+# last record of the first block
+QUOTED_ROWS = [f'{row}.0,"t,\ncp",1' if row in (4, 5) else f"{row}.0,tcp,0"
+               for row in range(1, 11)]
+
+# spellings float() accepts (a float's repr aside), and ones it rejects or
+# that are no finite number
+ACCEPTED_NUMBERS = [" 1 ", "1_000", "+.5e-3", "-0.0", "1e-400", "4.9e-324", "\u0661\u0662",
+                    "\uff13.5", "\u00a07\u2003"]
+REJECTED_NUMBERS = ["1e400", "-1e400", "nan", "-Infinity", "0x10", "1__0", "_1", "1e", "",
+                    " "]
+
+
+class TestBlockedLoadCsv:
+    """``load_csv`` in blocks of 4 records against the whole-file oracle:
+    the same columns (order, dtype, bytes) or the same error."""
+
+    @pytest.fixture(autouse=True)
+    def blocks_of_four(self, monkeypatch):
+        monkeypatch.setattr(data_pipeline, "CSV_BLOCK_ROWS", 4)
+
+    @staticmethod
+    def same_as_oracle(tmp_path, text, schema=None):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        schema = schema or schema_dur_proto()
+        expected = outcome(whole_file_table, str(path), schema)
+        assert outcome(streamed, str(path), schema) == expected
+        return expected
+
+    @staticmethod
+    def csv_text(rows, header="dur,proto,label", newline="\n"):
+        return newline.join([header] + rows) + newline
+
+    @pytest.mark.parametrize("row", [3, 4, 5, 8, 10])
+    @pytest.mark.parametrize("defect", list(DEFECTS))
+    def test_bad_cell_on_either_side_of_a_block_boundary(self, tmp_path, defect, row):
+        rows = list(GOOD_ROWS)
+        rows[row - 1] = DEFECTS[defect](rows[row - 1])
+        expected = self.same_as_oracle(tmp_path, self.csv_text(rows))
+        assert expected[0] is ParseError and expected[2] == row
+
+    def test_first_bad_cell_in_row_order_across_blocks(self, tmp_path):
+        rows = list(GOOD_ROWS)
+        rows[6] = DEFECTS["numeric"](rows[6])  # row 7, dur
+        rows[5] = DEFECTS["label"](rows[5])    # row 6, label
+        rows[9] = DEFECTS["numeric"](rows[9])  # row 10, in the last block
+        assert self.same_as_oracle(tmp_path, self.csv_text(rows))[2:] == (6, "label")
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 10])
+    def test_whole_and_partial_blocks(self, tmp_path, n):
+        assert isinstance(self.same_as_oracle(tmp_path, self.csv_text(GOOD_ROWS[:n])), list)
+
+    def test_header_only(self, tmp_path):
+        assert self.same_as_oracle(tmp_path, "dur,proto,label\n")[0] is EmptyFile
+
+    def test_byte_order_mark_and_crlf(self, tmp_path):
+        for text in ("\ufeff" + self.csv_text(GOOD_ROWS),
+                     self.csv_text(GOOD_ROWS, newline="\r\n")):
+            assert isinstance(self.same_as_oracle(tmp_path, text), list)
+
+    def test_quoted_line_break_straddles_a_block_boundary(self, tmp_path):
+        assert isinstance(self.same_as_oracle(tmp_path, self.csv_text(QUOTED_ROWS)), list)
+        rows = list(QUOTED_ROWS)
+        rows[8] = DEFECTS["numeric"](rows[8])  # rows count records, not lines
+        assert self.same_as_oracle(tmp_path, self.csv_text(rows))[2:] == (9, "dur")
+
+    def test_columns_out_of_order_and_extra(self, tmp_path):
+        rows = [f"{row},{row % 2},x,{row}.25,{'udp' if row > 4 else 'tcp'}"
+                for row in range(1, 11)]
+        rows[8] = rows[8].rsplit(",", 1)[0]  # a short record at row 9
+        expected = self.same_as_oracle(tmp_path, self.csv_text(rows, "id,label,pad,dur,proto"))
+        assert expected[2:] == (9, "proto")
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(
+        st.one_of(st.sampled_from(ACCEPTED_NUMBERS),
+                  st.floats(allow_nan=False, allow_infinity=False).map(repr)),
+        st.sampled_from(["0", "1", " 1 ", "1.0", "-0.0", "1e0", "\uff11"])),
+        min_size=1, max_size=13),
+        st.none() | st.tuples(st.integers(0, 12), st.sampled_from([0, 1]),
+                              st.sampled_from(REJECTED_NUMBERS)))
+    def test_number_spellings_match_oracle(self, tmp_path, rows, bad):
+        if bad is not None:  # one dur or label cell that is no finite number
+            row, col, spelling = bad
+            cells = list(rows[row % len(rows)])
+            cells[col] = spelling
+            rows[row % len(rows)] = tuple(cells)
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(["dur", "proto", "label"])
+        writer.writerows((dur, "tcp", label) for dur, label in rows)
+        expected = self.same_as_oracle(tmp_path, text.getvalue())
+        assert (bad is None) == isinstance(expected, list)
 
 
 class TestEncoding:

@@ -18,7 +18,12 @@ stdout. The commands:
   and a longer last one;
 - ``predict`` on the int8 pruned model of the seed-42 run;
 - a 3000-row ``bench/unswgen`` CSV through ``preprocess``, and a T = 6
-  ``evaluate`` of a seeded 3x32 float model and its int8 copy.
+  ``evaluate`` of a seeded 3x32 float model and its int8 copy;
+- the same flows through ``preprocess`` once more, written with a byte-order
+  mark, CRLF line endings and quoted ``proto`` and ``service`` cells (service
+  ``-`` becomes ``"-,none"``, a cell that holds a comma). At 3000 records the
+  CSV is longer than two ``data_pipeline.CSV_BLOCK_ROWS`` blocks, so the
+  comparison crosses block boundaries.
 
 Each model container written is also hashed as ``load_model`` decodes it:
 the float64 network it returns (dequantized for int8), masks, and int8
@@ -123,6 +128,21 @@ def _named_bytes(tree: dict) -> bytes:
                     for name, arr in tree.items())
 
 
+def _quoted_crlf(text: str) -> str:
+    """``text`` with a byte-order mark, CRLF line endings, every proto and
+    service cell quoted and service ``-`` spelled ``-,none``."""
+    lines = text.splitlines()
+    header = lines[0].split(",")
+    quote = [header.index("proto"), header.index("service")]
+    out = [lines[0]]
+    for line in lines[1:]:
+        cells = line.split(",")
+        for i in quote:
+            cells[i] = '"-,none"' if cells[i] == "-" else f'"{cells[i]}"'
+        out.append(",".join(cells))
+    return "\ufeff" + "\r\n".join(out) + "\r\n"
+
+
 def run_all(run: Run) -> None:
     from edgenet import cli, lstm_net, model_store, synthetic  # from --src, see main()
     import unswgen
@@ -163,13 +183,18 @@ def run_all(run: Run) -> None:
 
     unsw = run.path("unsw")
     os.makedirs(unsw)
+    flows = unswgen.generate(UNSW_ROWS, 1)
     with open(os.path.join(unsw, "flows.csv"), "w", encoding="utf-8") as fh:
-        fh.write(unswgen.generate(UNSW_ROWS, 1))
+        fh.write(flows)
+    with open(os.path.join(unsw, "flows_crlf.csv"), "w", encoding="utf-8", newline="") as fh:
+        fh.write(_quoted_crlf(flows))
     unsw_cfg = run.write_config(os.path.join("unsw", "config.json"),
                                 {"seed": 1, "schema": unswgen.schema()})
-    run.call("preprocess-unsw", cli.main,
-             ["preprocess", "--config", unsw_cfg, "--csv", os.path.join(unsw, "flows.csv"),
-              "--out", os.path.join(unsw, "data")])
+    for name, csv, out in (("unsw", "flows.csv", "data"),
+                           ("unsw-crlf", "flows_crlf.csv", "data_crlf")):
+        run.call(f"preprocess-{name}", cli.main,
+                 ["preprocess", "--config", unsw_cfg, "--csv", os.path.join(unsw, csv),
+                  "--out", os.path.join(unsw, out)])
     net = lstm_net.init_params((UNSW_WIDTH, 32, 32, 32), seed=1)
     model_store.save_dense(net, os.path.join(unsw, "float.eidm"))
     run.call("quantize-unsw", cli.main,
