@@ -256,10 +256,6 @@ class DatasetSplit:
         return self.features.shape[0]
 
 
-def _row_index(table: RawTable, row_indices) -> np.ndarray:
-    return np.arange(len(table)) if row_indices is None else np.asarray(row_indices, np.int64)
-
-
 def _feature_column(table: RawTable, enc: EncodingMap, name: str,
                     rows: np.ndarray) -> np.ndarray:
     """float64 values of one feature at the given rows, categorical ones as codes."""
@@ -267,10 +263,10 @@ def _feature_column(table: RawTable, enc: EncodingMap, name: str,
     return enc.encode(name, values).astype(np.float64) if values.dtype.kind == "U" else values
 
 
-def fit_label_encoding(table: RawTable, schema: FeatureSchema,
-                       row_indices=None) -> EncodingMap:
-    """Codes by lexicographic order of each categorical column's distinct values."""
-    rows = _row_index(table, row_indices)
+def fit_label_encoding(table: RawTable, schema: FeatureSchema, row_indices) -> EncodingMap:
+    """Codes by lexicographic order of each categorical column's distinct
+    values at the given rows."""
+    rows = np.asarray(row_indices, np.int64)
     enc = EncodingMap()
     for col in schema.columns:
         if col.kind == KIND_CATEGORICAL:
@@ -280,10 +276,10 @@ def fit_label_encoding(table: RawTable, schema: FeatureSchema,
 
 
 def fit_minmax(table: RawTable, schema: FeatureSchema, enc: EncodingMap,
-               row_indices=None) -> NormStats:
+               row_indices) -> NormStats:
     """Per-column min/max over the given (non-empty) rows: the training split
     only, by contract."""
-    rows = _row_index(table, row_indices)
+    rows = np.asarray(row_indices, np.int64)
     stats = NormStats()
     for name in schema.selected_features:
         x = _feature_column(table, enc, name, rows)
@@ -297,9 +293,9 @@ def fit_minmax(table: RawTable, schema: FeatureSchema, enc: EncodingMap,
 
 
 def apply_transform(table: RawTable, schema: FeatureSchema, enc: EncodingMap,
-                    stats: NormStats, row_indices=None) -> DatasetSplit:
+                    stats: NormStats, row_indices) -> DatasetSplit:
     """x' = (x - min) / (max - min) clamped to [0, 1]; constant columns map to 0."""
-    rows = _row_index(table, row_indices)
+    rows = np.asarray(row_indices, np.int64)
     feats = np.zeros((len(rows), len(schema.selected_features)))
     for j, name in enumerate(schema.selected_features):
         x = _feature_column(table, enc, name, rows)

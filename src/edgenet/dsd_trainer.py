@@ -86,10 +86,9 @@ def _clip_global_norm(grads: ParamTree, clip: float) -> float:
     scales nothing, since ``clip / inf`` would zero every gradient and
     freeze training silently."""
     sq = 0.0  # a plain loop: the built-in sum() of floats is compensated from Python 3.12 on
-    with np.errstate(over="ignore"):
-        for g in grads.values():
-            for v in np.sum(g * g, axis=1).tolist():
-                sq += v
+    for g in grads.values():
+        for v in np.sum(g * g, axis=1).tolist():
+            sq += v
     total = np.sqrt(sq)
     if np.isfinite(total) and total > clip:
         for g in grads.values():
@@ -144,43 +143,45 @@ def _run_phase(net: NetworkParams, data: DatasetSplit, run: TrainRun, phase: str
         err_sum = wd_sum = twd_sum = 0.0
         n_batches = 0
         for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            p, cache = forward_batch(net, x_seq[idx], mode="train", rng=run.dropout_rng)
-            err = float(np.mean(bce_loss(p, y[idx])))
-            grads = backward(net, cache, y[idx]).rows()
+            # overflow only shows as a non-finite loss or clip norm, checked below
+            with np.errstate(over="ignore", invalid="ignore"):
+                idx = order[start:start + cfg.batch_size]
+                p, cache = forward_batch(net, x_seq[idx], mode="train", rng=run.dropout_rng)
+                err = float(np.mean(bce_loss(p, y[idx])))
+                grads = backward(net, cache, y[idx]).rows()
 
-            wd_pen = 0.0
-            for k in weights:
-                pens, g = l2_term(rows[k], swd.mu)
-                grads[k] += g
-                for pen in pens.tolist():
-                    wd_pen += pen
-
-            twd_pen = 0.0
-            if phase == PHASE_SPARSE:
+                wd_pen = 0.0
                 for k in weights:
-                    sel = select_swd_subset(rows[k], keep.masks[k], a, swd.target_threshold)
-                    twd, gvals = total_weight_decay(rows[k], sel, swd.mu)
-                    grads[k][sel] += a * gvals
-                    for pen in twd.tolist():
-                        twd_pen += pen
+                    pens, g = l2_term(rows[k], swd.mu)
+                    grads[k] += g
+                    for pen in pens.tolist():
+                        wd_pen += pen
 
-            loss = err + wd_pen + a * twd_pen
-            if not np.isfinite(loss):
-                raise NonFiniteLoss(f"{phase} phase diverged at epoch {e} (loss={loss})")
+                twd_pen = 0.0
+                if phase == PHASE_SPARSE:
+                    for k in weights:
+                        sel = select_swd_subset(rows[k], a, swd.target_threshold)
+                        twd, gvals = total_weight_decay(rows[k], sel, swd.mu)
+                        grads[k][sel] += a * gvals
+                        for pen in twd.tolist():
+                            twd_pen += pen
 
-            if run.cfg.grad_clip_norm is not None:
-                norm = _clip_global_norm(grads, run.cfg.grad_clip_norm)
-                if not np.isfinite(norm):
-                    raise NonFiniteLoss(f"{phase} phase diverged at epoch {e} "
-                                        f"(gradient norm={norm})")
-            sgdm_step(rows, grads, state)
-            if phase == PHASE_SPARSE:
-                apply_masks(rows, keep)
-                for k, m in keep.masks.items():
-                    # one violation per gate tensor (row) with a nonzero pruned entry
-                    stray = (rows[k] != 0.0) & (m == 0)
-                    run.mask_violations += int(np.count_nonzero(stray.any(axis=1)))
+                loss = err + wd_pen + a * twd_pen
+                if not np.isfinite(loss):
+                    raise NonFiniteLoss(f"{phase} phase diverged at epoch {e} (loss={loss})")
+
+                if run.cfg.grad_clip_norm is not None:
+                    norm = _clip_global_norm(grads, run.cfg.grad_clip_norm)
+                    if not np.isfinite(norm):
+                        raise NonFiniteLoss(f"{phase} phase diverged at epoch {e} "
+                                            f"(gradient norm={norm})")
+                sgdm_step(rows, grads, state)
+                if phase == PHASE_SPARSE:
+                    apply_masks(rows, keep)
+                    for k, m in keep.masks.items():
+                        # one violation per gate tensor (row) with a nonzero pruned entry
+                        stray = (rows[k] != 0.0) & (m == 0)
+                        run.mask_violations += int(np.count_nonzero(stray.any(axis=1)))
 
             err_sum += err
             wd_sum += wd_pen
@@ -217,6 +218,9 @@ def train_dsd(cfg: RunConfig, train_split: DatasetSplit,
         raise ConfigError("train and validation splits must be non-empty")
     arch = cfg.architecture
     n_features = train_split.features.shape[1]
+    if val_split.features.shape[1] != n_features:
+        raise ConfigError(f"validation split has {val_split.features.shape[1]} features, "
+                          f"train split {n_features}")
     if n_features % arch.seq_len != 0:
         raise ConfigError(f"{n_features} features not divisible by seq_len {arch.seq_len}")
     input_dim = n_features // arch.seq_len

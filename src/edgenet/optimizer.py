@@ -2,9 +2,10 @@
 
 Functions operate on "parameter trees": ordered dicts mapping names to numpy
 arrays. Training passes the network's row view (``NetworkParams.rows()``,
-one row per gate tensor). The momentum step updates the parameter arrays and
-the momentum buffers in place, so a tree of views trains its network
-directly. It stores the previous parameter change and applies
+one row per gate tensor), and ``l2_term`` takes one of its 2-D arrays only.
+The momentum step updates the parameter arrays and the momentum buffers in
+place, so a tree of views trains its network directly. It stores the
+previous parameter change and applies
 
     update = -eta * grad + alpha * previous_update
 
@@ -56,10 +57,7 @@ def sgdm_step(theta: ParamTree, grad: ParamTree, state: SgdmState) -> None:
 
 
 def l2_term(weights: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """L2 penalty mu * sum(w^2) of each row (a 1-D tensor is one row) and
-    its gradient 2*mu*w. Each row is summed on its own, bit for bit its gate
+    """L2 penalty mu * sum(w^2) of each row of the 2-D ``weights`` and its
+    gradient 2*mu*w. Each row is summed on its own, bit for bit its gate
     tensor's sum; the caller adds the rows in order and leaves out biases."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim not in (1, 2):
-        raise DimensionMismatch(f"need one tensor (1-D) or rows (2-D), got shape {w.shape}")
-    return mu * np.sum(w * w, axis=-1), 2.0 * mu * w
+    return mu * np.sum(weights * weights, axis=1), 2.0 * mu * weights

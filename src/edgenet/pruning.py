@@ -3,10 +3,10 @@
 A tensor with N entries at sparsity s keeps its k = ceil(N * (1 - s))
 largest magnitudes, floored at 1 so at least one weight always survives.
 Among equal magnitudes the lowest flat indices survive; ``compute_mask``
-takes any shape as one tensor. The selective-weight-decay functions take
-rows (2-D: one tensor per row, as ``NetworkParams.rows()``; 1-D: one tensor),
-so flatten a per-gate matrix first. Each row is summed on its own, in flat
-order, which keeps training byte-identical to a loop over the gate tensors.
+takes any shape as one tensor. SWD's subset and its penalty TWD take the
+2-D rows of ``NetworkParams.rows()`` (one gate tensor per row) and no mask.
+Each row is summed on its own, in flat order, which keeps training
+byte-identical to a loop over the gate tensors.
 """
 
 from __future__ import annotations
@@ -72,25 +72,13 @@ def apply_masks(tree: ParamTree, sm: SparsityMask) -> ParamTree:
     return tree
 
 
-def _rows(w: np.ndarray) -> np.ndarray:
-    if w.ndim not in (1, 2):
-        raise DimensionMismatch(f"need one tensor (1-D) or rows (2-D), got shape {w.shape}")
-    return w.reshape(-1, w.shape[-1])
-
-
-def select_swd_subset(w: np.ndarray, mask: np.ndarray, a: float,
-                      t: float) -> np.ndarray:
+def select_swd_subset(w: np.ndarray, a: float, t: float) -> np.ndarray:
     """Selection mask of the decay target W* in each row of ``w``: of the m
-    survivors with |w| > a, the ceil(t * m) smallest magnitudes (ties broken
-    by flat index), which SWD pushes to 0.
-    """
-    w = np.asarray(w)
-    mask = np.asarray(mask)
-    if w.shape != mask.shape:
-        raise DimensionMismatch(f"weight {w.shape} vs mask {mask.shape}")
-
-    mag = np.abs(_rows(w))
-    candidates = mask.astype(bool).reshape(mag.shape) & (mag > a)
+    weights with |w| > a, the ceil(t * m) smallest magnitudes (ties broken
+    by flat index), which SWD pushes to 0. Pruned entries must be +0.0 and
+    a > 0, as in the sparse phase, so that the m are the mask's survivors."""
+    mag = np.abs(w)
+    candidates = mag > a
     sel = np.zeros_like(candidates)
     for row, cand, out in zip(mag, candidates, sel):
         idx = np.flatnonzero(cand)
@@ -105,18 +93,15 @@ def select_swd_subset(w: np.ndarray, mask: np.ndarray, a: float,
         ties = np.flatnonzero(vals == kth)[:k - np.count_nonzero(below)]
         out[idx[below]] = True
         out[idx[ties]] = True
-    return sel.reshape(w.shape)
+    return sel
 
 
 def total_weight_decay(w: np.ndarray, sel: np.ndarray,
                        mu: float) -> tuple[np.ndarray, np.ndarray]:
     """TWD = mu * sum(w^2) over each row's selection, and its gradient 2*mu*w
     at ``w[sel]``. The caller scales both by a and adds the rows in order."""
-    w = np.asarray(w, dtype=np.float64)
-    sel = np.asarray(sel, dtype=bool)
-    sq = _rows(w * w)
-    sums = np.array([np.sum(q[k]) for q, k in zip(sq, sel.reshape(sq.shape))])
-    return mu * sums.reshape(w.shape[:-1]), 2.0 * mu * w[sel]
+    sums = np.array([np.sum(q[k]) for q, k in zip(w * w, sel)])
+    return mu * sums, 2.0 * mu * w[sel]
 
 
 def schedule_sparsity(epoch: int, pruning: Pruning, epochs: int) -> float:

@@ -1,11 +1,13 @@
 """Seeded synthetic binary dataset for desk-scale runs.
 
 Features are uniform in [0, 1]^d. The label comes from a fixed smooth
-nonlinear score; rows too close to the decision surface are resampled so a
-margin exists, then a fraction of labels is flipped as noise. Fully
+nonlinear score; rows closer than ``MARGIN`` to the decision surface are
+resampled, then a ``NOISE`` fraction of labels is flipped. Fully
 deterministic for a given seed.
 
-Run as a module to emit a CSV plus a matching run-config JSON:
+Run as a module to emit the 5000-row demo CSV (data seed 11) plus a
+matching run-config JSON (run seed 42, which ``preprocess --seed`` and
+``train --seed`` override):
 
     python -m edgenet.synthetic --out workdir/
 """
@@ -22,11 +24,9 @@ import numpy as np
 from .config import RunConfig
 from .data_pipeline import KIND_LABEL, KIND_NUMERIC, ColumnSpec, FeatureSchema
 
-N_ROWS_DEFAULT = 5000
 N_FEATURES = 10
-MARGIN_DEFAULT = 0.2
-NOISE_DEFAULT = 0.05
-SEED_DEFAULT = 11
+MARGIN = 0.2
+NOISE = 0.05
 
 
 def decision_score(x: np.ndarray) -> np.ndarray:
@@ -37,9 +37,7 @@ def decision_score(x: np.ndarray) -> np.ndarray:
             + 0.25 * (x[:, 8] ** 2 - x[:, 9] ** 2))
 
 
-def make_synthetic(n_rows: int = N_ROWS_DEFAULT, seed: int = SEED_DEFAULT,
-                   noise: float = NOISE_DEFAULT,
-                   margin: float = MARGIN_DEFAULT) -> tuple[np.ndarray, np.ndarray]:
+def make_synthetic(n_rows: int = 5000, seed: int = 11) -> tuple[np.ndarray, np.ndarray]:
     """Returns (features (n, 10) in [0,1], labels (n,) of {0,1})."""
     rng = np.random.default_rng(seed)
     xs = []
@@ -47,12 +45,12 @@ def make_synthetic(n_rows: int = N_ROWS_DEFAULT, seed: int = SEED_DEFAULT,
     while kept < n_rows:
         batch = rng.random((n_rows, N_FEATURES))
         s = decision_score(batch)
-        keep = np.abs(s) >= margin
+        keep = np.abs(s) >= MARGIN
         xs.append(batch[keep])
         kept += int(keep.sum())
     x = np.concatenate(xs)[:n_rows]
     y = (decision_score(x) > 0.0).astype(np.int64)
-    flips = rng.random(n_rows) < noise
+    flips = rng.random(n_rows) < NOISE
     y[flips] = 1 - y[flips]
     return x, y
 
@@ -76,22 +74,18 @@ def config_dict(seed: int = 42) -> dict:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description="generate the synthetic demo dataset")
+    ap = argparse.ArgumentParser(description="write the 5000-row demo data.csv (data seed "
+                                 "11) and its config.json (run seed 42)")
     ap.add_argument("--out", required=True, help="output directory")
-    ap.add_argument("--rows", type=int, default=N_ROWS_DEFAULT)
-    ap.add_argument("--seed", type=int, default=SEED_DEFAULT,
-                    help="dataset generation seed")
-    ap.add_argument("--run-seed", type=int, default=42,
-                    help="seed written into the emitted config (splits/training)")
     args = ap.parse_args(argv)
 
     os.makedirs(args.out, exist_ok=True)
-    x, y = make_synthetic(n_rows=args.rows, seed=args.seed)
+    x, y = make_synthetic()
     csv_path = os.path.join(args.out, "data.csv")
     cfg_path = os.path.join(args.out, "config.json")
     write_csv(csv_path, x, y)
     with open(cfg_path, "w", encoding="utf-8") as fh:
-        json.dump(config_dict(seed=args.run_seed), fh, indent=2, sort_keys=True)
+        json.dump(config_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {csv_path} ({len(y)} rows, {int(y.sum())} anomalies) and {cfg_path}")
     return 0

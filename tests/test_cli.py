@@ -535,18 +535,53 @@ class TestErrorPaths:
         assert f"cannot allocate layer sizes [10, {hidden}, {hidden}]" in captured.err
         assert not out.exists()
 
-    def test_divergence_exit_code(self, workdir):
+    def test_divergence_exit_code(self, workdir, capsys):
+        # no numpy warning on the way: the loss check alone reports it
         tmp, cfg, csv = workdir
         doc = json.loads(open(cfg).read())
         doc["phases"]["dense"]["learning_rate"] = 1e200
         bad_cfg = tmp / "bad.json"
         bad_cfg.write_text(json.dumps(doc), encoding="utf-8")
-        data = str(tmp / "data")
+        data, out = str(tmp / "data"), tmp / "m"
         assert main(["preprocess", "--config", cfg, "--csv", csv, "--out", data]) == 0
-        with np.errstate(over="ignore"):
-            rc = main(["train", "--config", str(bad_cfg), "--data", data,
-                       "--out", str(tmp / "m")])
-        assert rc == 4
+        capsys.readouterr()
+        rc = main(["train", "--config", str(bad_cfg), "--data", data, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 4 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "dense phase diverged at epoch 0" in captured.err
+        assert not out.exists()
+
+    def test_divergence_after_a_one_batch_epoch_exit_code(self, workdir, capsys):
+        # one batch per epoch: validation scores the overflowed weights of
+        # epoch 0 before epoch 1's loss check stops training
+        tmp, cfg, csv = workdir
+        doc = json.loads(open(cfg).read())
+        doc["phases"]["dense"].update({"learning_rate": 1e308, "batch_size": 10_000})
+        bad_cfg = tmp / "bad.json"
+        bad_cfg.write_text(json.dumps(doc), encoding="utf-8")
+        data, out = str(tmp / "data"), tmp / "m"
+        assert main(["preprocess", "--config", cfg, "--csv", csv, "--out", data]) == 0
+        capsys.readouterr()
+        rc = main(["train", "--config", str(bad_cfg), "--data", data, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 4 and captured.out == ""
+        assert captured.err == "error: dense phase diverged at epoch 1 (loss=inf)\n"
+        assert not out.exists()
+
+    def test_validation_split_of_another_width_rejected(self, workdir, capsys):
+        tmp, cfg, csv = workdir
+        data, out = tmp / "data", tmp / "m"
+        assert main(["preprocess", "--config", cfg, "--csv", csv, "--out", str(data)]) == 0
+        save_dataset(DatasetSplit(features=np.full((6, 20), 0.5), labels=np.array([0, 1] * 3)),
+                     str(data / "val.eidd"))
+        capsys.readouterr()
+        rc = main(["train", "--config", cfg, "--data", str(data), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert "ConfigError" in captured.err
+        assert "validation split has 20 features, train split 10" in captured.err
+        assert not out.exists()
 
     def test_clip_norm_overflow_is_divergence(self, workdir, capsys):
         # mu 1e300 keeps the loss finite, but the squared gradients of the
@@ -654,6 +689,19 @@ class TestConfigTypes:
         doc["grad_clip_norm"] = None
         assert config_from_dict(doc).grad_clip_norm is None
         assert config_from_dict(config_dict()).grad_clip_norm == 5.0
+
+    def test_null_schema_is_no_schema(self, workdir, capsys):
+        tmp, cfg, csv = workdir
+        doc = json.loads(open(cfg).read())
+        doc["schema"] = None
+        assert config_from_dict(doc).schema is None
+        null_cfg = tmp / "null.json"
+        null_cfg.write_text(json.dumps(doc), encoding="utf-8")
+        rc = main(["preprocess", "--config", str(null_cfg), "--csv", csv,
+                   "--out", str(tmp / "out")])
+        assert rc == 1
+        assert "preprocess needs a config with a 'schema' section" in capsys.readouterr().err
+        assert not os.path.exists(tmp / "out")
 
     def test_demo_config_is_the_defaults_plus_its_schema(self):
         demo = FeatureSchema(columns=[ColumnSpec(f"f{i}", "numeric") for i in range(10)]

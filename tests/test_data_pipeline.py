@@ -279,17 +279,18 @@ class TestBlockedLoadCsv:
 class TestEncoding:
     def test_lexicographic_codes(self, tmp_path):
         table = load_csv(write(tmp_path, CSV_OK), schema_dur_proto())
-        enc = fit_label_encoding(table, schema_dur_proto())
+        enc = fit_label_encoding(table, schema_dur_proto(), range(len(table)))
         assert enc.codes["proto"] == {"icmp": 0, "tcp": 1, "udp": 2}
 
     def test_single_value(self, tmp_path):
         path = write(tmp_path, "dur,proto,label\n1.0,tcp,0\n2.0,tcp,1\n")
-        enc = fit_label_encoding(load_csv(path, schema_dur_proto()), schema_dur_proto())
+        enc = fit_label_encoding(load_csv(path, schema_dur_proto()), schema_dur_proto(), range(2))
         assert enc.codes["proto"] == {"tcp": 0}
 
     def test_dedup_and_sort(self, tmp_path):
         path = write(tmp_path, "dur,proto,label\n1,b,0\n2,a,0\n3,b,1\n4,a,1\n")
-        enc = fit_label_encoding(load_csv(path, schema_dur_proto()), schema_dur_proto())
+        enc = fit_label_encoding(load_csv(path, schema_dur_proto()), schema_dur_proto(),
+                                 range(4))
         assert enc.codes["proto"] == {"a": 0, "b": 1}
 
     def test_round_trip(self):
@@ -308,27 +309,27 @@ class TestMinMax:
     def test_simple_column(self, tmp_path):
         path = write(tmp_path, "dur,proto,label\n2,tcp,0\n4,tcp,0\n6,tcp,1\n")
         table = load_csv(path, schema_dur_proto())
-        enc = fit_label_encoding(table, schema_dur_proto())
-        stats = fit_minmax(table, schema_dur_proto(), enc)
+        enc = fit_label_encoding(table, schema_dur_proto(), range(len(table)))
+        stats = fit_minmax(table, schema_dur_proto(), enc, range(len(table)))
         assert stats.stats["dur"] == (2.0, 6.0)
 
     def test_constant_column(self, tmp_path):
         path = write(tmp_path, "dur,proto,label\n5,tcp,0\n5,tcp,1\n")
         table = load_csv(path, schema_dur_proto())
-        enc = fit_label_encoding(table, schema_dur_proto())
-        stats = fit_minmax(table, schema_dur_proto(), enc)
+        enc = fit_label_encoding(table, schema_dur_proto(), range(len(table)))
+        stats = fit_minmax(table, schema_dur_proto(), enc, range(len(table)))
         assert stats.stats["dur"] == (5.0, 5.0)
 
     def test_negative_values(self, tmp_path):
         path = write(tmp_path, "dur,proto,label\n-1,tcp,0\n0,tcp,0\n3,tcp,1\n")
         table = load_csv(path, schema_dur_proto())
-        enc = fit_label_encoding(table, schema_dur_proto())
-        stats = fit_minmax(table, schema_dur_proto(), enc)
+        enc = fit_label_encoding(table, schema_dur_proto(), range(len(table)))
+        stats = fit_minmax(table, schema_dur_proto(), enc, range(len(table)))
         assert stats.stats["dur"] == (-1.0, 3.0)
 
     def test_fit_on_subset_of_rows(self, tmp_path):
         table = load_csv(write(tmp_path, CSV_OK), schema_dur_proto())
-        enc = fit_label_encoding(table, schema_dur_proto())
+        enc = fit_label_encoding(table, schema_dur_proto(), range(len(table)))
         stats = fit_minmax(table, schema_dur_proto(), enc, row_indices=[0, 1])
         assert stats.stats["dur"] == (1.0, 2.0)
 
@@ -336,9 +337,11 @@ class TestMinMax:
 class TestTransform:
     def run(self, csv_text, stats_rows=None, tmp_path=None):
         table = load_csv(write(tmp_path, csv_text), schema_dur_proto())
-        enc = fit_label_encoding(table, schema_dur_proto())
-        stats = fit_minmax(table, schema_dur_proto(), enc, row_indices=stats_rows)
-        return apply_transform(table, schema_dur_proto(), enc, stats), table
+        rows = range(len(table))
+        enc = fit_label_encoding(table, schema_dur_proto(), rows)
+        stats = fit_minmax(table, schema_dur_proto(), enc,
+                           row_indices=rows if stats_rows is None else stats_rows)
+        return apply_transform(table, schema_dur_proto(), enc, stats, rows), table
 
     def test_midpoint_and_endpoints(self, tmp_path):
         ds, _ = self.run("dur,proto,label\n2,tcp,0\n4,tcp,1\n6,tcp,0\n", tmp_path=tmp_path)
@@ -385,7 +388,7 @@ class TestTransform:
             assert (err.value.row, err.value.column) == (values.index(mx) + 1, "dur")
             return
         stats = fit_minmax(table, schema_dur_proto(), enc, row_indices=range(k))
-        ds = apply_transform(table, schema_dur_proto(), enc, stats)
+        ds = apply_transform(table, schema_dur_proto(), enc, stats, range(len(table)))
         expected = [0.0 if mx == mn else min(max((x - mn) / (mx - mn), 0.0), 1.0)
                     for x in values]
         assert repr(stats.stats["dur"]) == repr((mn, mx))  # repr tells -0.0 from 0.0
@@ -395,20 +398,20 @@ class TestTransform:
         values = [0.0, 5e-324, 1e3, -1e3]
         table = RawTable(arrays={"dur": np.array(values), "proto": np.array(["tcp"] * 4),
                                  "label": np.zeros(4, dtype=np.int64)})
-        enc = fit_label_encoding(table, schema_dur_proto())
+        enc = fit_label_encoding(table, schema_dur_proto(), range(len(table)))
         stats = fit_minmax(table, schema_dur_proto(), enc, row_indices=[0, 1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ds = apply_transform(table, schema_dur_proto(), enc, stats)
+            ds = apply_transform(table, schema_dur_proto(), enc, stats, range(len(table)))
         assert ds.features[:, 0].tolist() == [0.0, 1.0, 1.0, 0.0]
 
     def test_overflowing_training_range_rejected(self):
         values = [3.0, -1e308, 1e308, 1e308]
         table = RawTable(arrays={"dur": np.array(values), "proto": np.array(["tcp"] * 4),
                                  "label": np.zeros(4, dtype=np.int64)})
-        enc = fit_label_encoding(table, schema_dur_proto())
+        enc = fit_label_encoding(table, schema_dur_proto(), range(len(table)))
         with pytest.raises(ScaleOverflow) as err:
-            fit_minmax(table, schema_dur_proto(), enc)
+            fit_minmax(table, schema_dur_proto(), enc, range(len(table)))
         assert (err.value.row, err.value.column) == (3, "dur")
         assert "overflows" in str(err.value)
 
@@ -417,7 +420,7 @@ class TestTransform:
         enc = fit_label_encoding(table, schema_dur_proto(), row_indices=[0, 1])
         stats = fit_minmax(table, schema_dur_proto(), enc, row_indices=[0, 1])
         with pytest.raises(UnknownCategory):
-            apply_transform(table, schema_dur_proto(), enc, stats)  # row 2 is icmp
+            apply_transform(table, schema_dur_proto(), enc, stats, range(3))  # row 2 is icmp
 
     def test_labels_and_row_ids(self, tmp_path):
         ds, _ = self.run(CSV_OK, tmp_path=tmp_path)

@@ -3,16 +3,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from edgenet import dsd_trainer
 from edgenet.config import Architecture, EarlyStop, Phase, Phases, Pruning, RunConfig
 from edgenet.data_pipeline import DatasetSplit, split_indices
 from edgenet.dsd_trainer import (PHASE_DENSE, PHASE_REDENSE, PHASE_SPARSE,
                                  TrainRun, _run_phase, train_dsd)
 from edgenet.errors import ConfigError, NonFiniteLoss
 from edgenet.lstm_net import (NetworkParams, backward, bce_loss, forward_batch,
-                              init_params, scores, to_sequences)
-from edgenet.optimizer import SgdmState, l2_term, sgdm_step
+                              init_params, scores, stack_rows, to_sequences)
+from edgenet.optimizer import SgdmState, sgdm_step
 from edgenet.pruning import compute_masks
 from edgenet.synthetic import make_synthetic
+
+from oracles import lowest_quantile_subset
 
 
 def toy_data(n=200, seed=0):
@@ -98,7 +101,7 @@ class TestDensePhase:
         grads = backward(start, cache, y).tensors()
         theta = start.tensors()
         for name in start.weight_names():
-            grads[name] = grads[name] + l2_term(theta[name], mu)[1]
+            grads[name] = grads[name] + 2.0 * mu * theta[name]
         sgdm_step(theta, grads, SgdmState.init(theta, alpha=0.9, eta=0.05))
         for name, arr in start.tensors().items():
             np.testing.assert_array_equal(net.tensors()[name], arr)
@@ -146,6 +149,40 @@ class TestSparsePhase:
             pruned = arr[~m.astype(bool)]
             assert np.all(pruned == 0.0)
             assert not np.any(np.signbit(pruned))  # +0.0, not -0.0
+
+    def test_swd_sees_pruned_entries_at_positive_zero(self, monkeypatch):
+        """SWD reads no mask: at every call its pruned entries are +0.0 and its
+        selection is the masked rule, the ceil(t * m) smallest of the m
+        survivors with |w| > a, ties to the lowest flat index."""
+        tr, _, _ = toy_data()
+        net = init_params((10, 8, 8), seed=5, dropout_rate=0.1)
+        swd = Pruning(initial_sparsity=0.3, final_sparsity=0.7, a0=0.2, a_growth=1.5)
+        run = make_run(11, pruning=swd, sparse=Phase(0.5, 4, 32))  # 4 batches an epoch
+        rows = net.rows()
+        seen = {"calls": 0, "selected": 0, "survivors at or below a": 0}
+
+        def checked(w, a, t):
+            sel = select(w, a, t)
+            (name,) = [k for k, r in rows.items() if np.shares_memory(w, r)]
+            keep = stack_rows(run.final_mask.masks)[name].astype(bool)
+            pruned = w[~keep]
+            assert np.all(pruned == 0.0) and not np.any(np.signbit(pruned))
+            for r in range(w.shape[0]):
+                cand = np.flatnonzero(keep[r] & (np.abs(w[r]) > a))
+                expect = np.zeros(w.shape[1], dtype=bool)
+                expect[cand[lowest_quantile_subset(np.abs(w[r][cand]), t)]] = True
+                np.testing.assert_array_equal(sel[r], expect)
+            seen["calls"] += 1
+            seen["selected"] += int(np.count_nonzero(sel))
+            seen["survivors at or below a"] += int(np.count_nonzero(keep & (np.abs(w) <= a)))
+            return sel
+
+        select = dsd_trainer.select_swd_subset
+        monkeypatch.setattr(dsd_trainer, "select_swd_subset", checked)
+        _run_phase(net, tr, run, PHASE_SPARSE)
+        assert seen["calls"] == 4 * 4 * 3  # epochs x batches x (layer0.w, layer1.w, head.w)
+        assert seen["selected"] > 0 and seen["survivors at or below a"] > 0
+        assert run.mask_violations == 0
 
     def test_mu_zero_constant_schedule_has_no_twd(self):
         tr, _, _ = toy_data()
@@ -342,7 +379,7 @@ class TestTrainDsd:
         # one step at this rate sends weights ~1e200, so the squared penalty
         # overflows to inf on the next batch
         cfg = small_cfg(seed=1, dense=Phase(learning_rate=1e200, epochs=2, batch_size=64))
-        with np.errstate(over="ignore"), pytest.raises(NonFiniteLoss):
+        with pytest.raises(NonFiniteLoss):
             train_dsd(cfg, tr, va)
 
     def test_empty_split_rejected(self):

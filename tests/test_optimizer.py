@@ -96,36 +96,32 @@ class TestSgdm:
 
 class TestL2:
     def test_hand_worked(self):
-        pen, grad = l2_term(np.array([3.0, 4.0]), mu=1.0)
-        assert pen == pytest.approx(25.0)
-        np.testing.assert_allclose(grad, [6.0, 8.0])
+        pen, grad = l2_term(np.array([[3.0, 4.0]]), mu=1.0)
+        assert pen.shape == (1,) and pen[0] == pytest.approx(25.0)
+        np.testing.assert_allclose(grad, [[6.0, 8.0]])
 
     def test_mu_zero(self):
-        pen, grad = l2_term(np.array([1.0, 2.0]), mu=0.0)
-        assert pen == 0.0
-        np.testing.assert_array_equal(grad, [0.0, 0.0])
+        pen, grad = l2_term(np.array([[1.0, 2.0]]), mu=0.0)
+        assert pen[0] == 0.0
+        np.testing.assert_array_equal(grad, [[0.0, 0.0]])
 
     def test_small_weight(self):
-        pen, grad = l2_term(np.array([0.5]), mu=0.01)
-        assert pen == pytest.approx(0.0025)
-        np.testing.assert_allclose(grad, [0.01])
+        pen, grad = l2_term(np.array([[0.5]]), mu=0.01)
+        assert pen[0] == pytest.approx(0.0025)
+        np.testing.assert_allclose(grad, [[0.01]])
 
     def test_gradient_matches_finite_difference(self):
         rng = np.random.default_rng(5)
-        w = rng.normal(size=12)
+        w = rng.normal(size=(1, 12))
         mu = 0.37
         _, grad = l2_term(w, mu)
         eps = 1e-6
         for i in range(w.size):
             wp, wm = w.copy(), w.copy()
-            wp[i] += eps
-            wm[i] -= eps
-            fd = (l2_term(wp, mu)[0] - l2_term(wm, mu)[0]) / (2 * eps)
-            assert abs(fd - grad[i]) <= 1e-8
-
-    def test_more_than_two_axes_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            l2_term(np.ones((2, 3, 4)), mu=0.1)
+            wp[0, i] += eps
+            wm[0, i] -= eps
+            fd = (l2_term(wp, mu)[0][0] - l2_term(wm, mu)[0][0]) / (2 * eps)
+            assert abs(fd - grad[0, i]) <= 1e-8
 
     @pytest.mark.parametrize("shape", [(4, 1), (4, 7), (4, 130), (1, 33), (1, 1), (4, 1057)])
     def test_one_penalty_per_row_bit_for_bit(self, shape):

@@ -88,17 +88,17 @@ class TestApplyMask:
 
 class TestSwdSubset:
     def test_quantile_oracle_on_survivors(self):
-        w = np.array([0.9, 0.6, 0.3, 0.2])
-        sel = select_swd_subset(w, np.ones(4), a=0.1, t=0.5)
+        w = np.array([[0.9, 0.0, 0.6, 0.3, 0.0, 0.2]])  # two pruned entries at +0.0
+        sel = select_swd_subset(w, a=0.1, t=0.5)
         np.testing.assert_array_equal(sorted(w[sel]), [0.2, 0.3])
 
     def test_large_a_empties_subset(self):
-        sel = select_swd_subset(np.array([0.3, 0.2]), np.ones(2), a=1.0, t=0.5)
+        sel = select_swd_subset(np.array([[0.3, 0.2]]), a=1.0, t=0.5)
         assert not sel.any()
 
     def test_full_quantile_takes_all_survivors(self):
-        w = np.array([0.9, -0.6, 0.3, 0.2])
-        sel = select_swd_subset(w, np.ones(4), a=0.0, t=1.0)
+        w = np.array([[0.9, -0.6, 0.3, 0.2]])
+        sel = select_swd_subset(w, a=0.0, t=1.0)
         assert sel.all()
 
     @settings(max_examples=150, deadline=None)
@@ -107,18 +107,18 @@ class TestSwdSubset:
         rng = np.random.default_rng(seed)
         w = rng.normal(size=40)
         mask = compute_mask(w, float(rng.uniform(0, 0.8)))
-        sel = select_swd_subset(w, mask, a=a, t=t)
-        sel_flat = sel.ravel()
-        survivors = mask.astype(bool).ravel()
+        w = np.where(mask.astype(bool), w, 0.0)  # pruned, as training leaves them
+        sel = select_swd_subset(w[None], a=a, t=t)[0]
+        survivors = mask.astype(bool)
         # subset of the above-a survivors
-        assert np.all(~sel_flat | survivors)
-        assert np.all(np.abs(w.ravel()[sel_flat]) > a)
-        m = int((survivors & (np.abs(w.ravel()) > a)).sum())
-        assert sel_flat.sum() <= np.ceil(t * m)
+        assert np.all(~sel | survivors)
+        assert np.all(np.abs(w[sel]) > a)
+        m = int((survivors & (np.abs(w) > a)).sum())
+        assert sel.sum() <= np.ceil(t * m)
         # agrees with the brute-force lowest-quantile oracle on the candidates
-        cand = np.flatnonzero(survivors & (np.abs(w.ravel()) > a))
-        expect = set(cand[lowest_quantile_subset(np.abs(w.ravel()[cand]), t)])
-        assert set(np.flatnonzero(sel_flat)) == expect
+        cand = np.flatnonzero(survivors & (np.abs(w) > a))
+        expect = set(cand[lowest_quantile_subset(np.abs(w[cand]), t)])
+        assert set(np.flatnonzero(sel)) == expect
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.05, 1.0), st.floats(0.0, 0.5))
@@ -128,7 +128,8 @@ class TestSwdSubset:
         rng = np.random.default_rng(seed)
         w = np.round(rng.normal(size=40), 1)
         mask = compute_mask(w, float(rng.uniform(0, 0.8)))
-        sel = select_swd_subset(w, mask, a=a, t=t)
+        w = np.where(mask.astype(bool), w, 0.0)
+        sel = select_swd_subset(w[None], a=a, t=t)[0]
         cand = np.flatnonzero(mask.astype(bool) & (np.abs(w) > a))
         expect = cand[lowest_quantile_subset(np.abs(w[cand]), t)]
         np.testing.assert_array_equal(np.flatnonzero(sel), np.sort(expect))
@@ -139,59 +140,53 @@ class TestSwdSubset:
         rng = np.random.default_rng(seed)
         w = np.round(rng.normal(size=(4, 30)), 1)  # ties within rows
         mask = np.stack([compute_mask(r, float(rng.uniform(0, 0.8))) for r in w])
-        sel = select_swd_subset(w, mask, a=a, t=t)
+        w = np.where(mask.astype(bool), w, 0.0)
+        sel = select_swd_subset(w, a=a, t=t)
         for r in range(4):
-            np.testing.assert_array_equal(sel[r], select_swd_subset(w[r], mask[r], a=a, t=t))
+            np.testing.assert_array_equal(sel[r], select_swd_subset(w[r:r + 1], a=a, t=t)[0])
 
     def test_row_view_selects_per_gate_tensor(self):
         net = init_params((3, 5, 1), seed=4)
         rows, tree = net.rows(), net.tensors()
-        mask = np.ones(rows["layer0.w"].shape)
-        sel = select_swd_subset(rows["layer0.w"], mask, a=0.05, t=0.3)
+        sel = select_swd_subset(rows["layer0.w"], a=0.05, t=0.3)
         for g, name in enumerate(["layer0.w_f", "layer0.w_i", "layer0.w_j", "layer0.w_o"]):
-            gate = tree[name]  # (H, H+D): flattened, it is one tensor
-            flat = select_swd_subset(gate.ravel(), np.ones(gate.size), a=0.05, t=0.3)
+            gate = tree[name]  # (H, H+D): flattened to one row, it is one tensor
+            flat = select_swd_subset(gate.reshape(1, -1), a=0.05, t=0.3)[0]
             np.testing.assert_array_equal(sel[g], flat)
             assert gate.ndim == 2 and not np.array_equal(
-                select_swd_subset(gate, np.ones(gate.shape), a=0.05, t=0.3).ravel(), flat)
-
-    def test_more_than_two_axes_rejected(self):
-        w = np.ones((2, 3, 4))
-        with pytest.raises(DimensionMismatch):
-            select_swd_subset(w, np.ones(w.shape), a=0.0, t=0.5)
-        with pytest.raises(DimensionMismatch):
-            total_weight_decay(w, np.ones(w.shape, dtype=bool), mu=0.1)
+                select_swd_subset(gate, a=0.05, t=0.3).ravel(), flat)
 
 
 class TestTotalWeightDecay:
     def test_hand_worked(self):
-        w = np.array([0.2, 0.9, -0.1])
-        twd, grad = total_weight_decay(w, np.array([True, False, True]), mu=0.01)
-        assert twd == pytest.approx(5e-4)
+        w = np.array([[0.2, 0.9, -0.1]])
+        twd, grad = total_weight_decay(w, np.array([[True, False, True]]), mu=0.01)
+        assert twd.shape == (1,) and twd[0] == pytest.approx(5e-4)
         np.testing.assert_allclose(grad, [0.004, -0.002])
 
     def test_empty_subset(self):
-        twd, grad = total_weight_decay(np.array([0.3, -0.4]), np.zeros(2, dtype=bool), mu=0.01)
-        assert twd == 0.0 and grad.size == 0
+        twd, grad = total_weight_decay(np.array([[0.3, -0.4]]), np.zeros((1, 2), dtype=bool),
+                                       mu=0.01)
+        assert twd[0] == 0.0 and grad.size == 0
 
     def test_mu_zero(self):
-        twd, grad = total_weight_decay(np.array([0.5]), np.array([True]), mu=0.0)
-        assert twd == 0.0
+        twd, grad = total_weight_decay(np.array([[0.5]]), np.array([[True]]), mu=0.0)
+        assert twd[0] == 0.0
         np.testing.assert_array_equal(grad, [0.0])
 
     def test_scaled_gradient_matches_finite_difference(self):
         rng = np.random.default_rng(9)
-        vals = rng.normal(size=8)
-        sel = np.ones(8, dtype=bool)
+        vals = rng.normal(size=(1, 8))
+        sel = np.ones((1, 8), dtype=bool)
         mu, a = 0.013, 0.7
         _, grad = total_weight_decay(vals, sel, mu)
         eps = 1e-6
         for i in range(vals.size):
             vp, vm = vals.copy(), vals.copy()
-            vp[i] += eps
-            vm[i] -= eps
-            fd = a * (total_weight_decay(vp, sel, mu)[0]
-                      - total_weight_decay(vm, sel, mu)[0]) / (2 * eps)
+            vp[0, i] += eps
+            vm[0, i] -= eps
+            fd = a * (total_weight_decay(vp, sel, mu)[0][0]
+                      - total_weight_decay(vm, sel, mu)[0][0]) / (2 * eps)
             assert abs(fd - a * grad[i]) <= 1e-8
 
     def test_rows_sum_their_own_selection_in_flat_order(self):

@@ -28,9 +28,7 @@ stdout. The commands:
 Each model container written is also hashed as ``load_model`` decodes it:
 the float64 network it returns (dequantized for int8), masks, and int8
 scales and zero points. So a change to the reader is checked value by value,
-not only through what the commands print. A tree whose loader returns no
-network for an int8 model is hashed through ``quantizer.dequantized_net``
-under the same name, so its printout can be compared with one that does.
+not only through what the commands print.
 
 Two source trees produce the same outputs when their printouts match:
 
@@ -102,22 +100,18 @@ class Run:
 
     def decoded_hashes(self, path: str) -> None:
         """Three hashes of a container as ``load_model`` decodes it: every
-        float64 tensor of the network it returns (or, when it returns none,
-        of ``dequantized_net`` of its int8 model), every mask, and each int8
+        float64 tensor of the network it returns, every mask, and each int8
         tensor's scale and zero point."""
-        from edgenet import model_store, quantizer
+        from edgenet import model_store
 
         loaded = model_store.load_model(path)
-        net = loaded.params
-        if net is None:
-            net = quantizer.dequantized_net(loaded.qmodel)
         quant = b""
         if loaded.qmodel is not None:
             quant = "".join(f"{name} {qt.params.scale!r} {qt.params.zero_point}\n"
                             for name, qt in loaded.qmodel.weights.items()).encode("utf-8")
         masks = loaded.mask.masks if loaded.mask is not None else {}
         rel = os.path.relpath(path, self.work)
-        for part, blob in (("tensors", _named_bytes(net.tensors())),
+        for part, blob in (("tensors", _named_bytes(loaded.params.tensors())),
                            ("masks", _named_bytes(masks)), ("quant", quant)):
             self.hashes[f"decoded-{part}:{rel}"] = sha256(blob)
 
