@@ -35,6 +35,7 @@ KIND_LABEL = "label"
 
 DATASET_MAGIC = b"EIDD"
 DATASET_VERSION = 1
+_DATASET_HEAD = struct.Struct("<HIH")  # version, rows, features
 
 # data records that load_csv reads and parses together
 CSV_BLOCK_ROWS = 1024
@@ -186,11 +187,9 @@ def load_csv(path: str, schema: FeatureSchema) -> RawTable:
     the file is still read to its end); ParseError for the first bad cell in
     row-major order; EmptyFile for a header with no data rows.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            if fh.read(1) != "\ufeff":  # plain utf-8 keeps a byte-order mark as text
-                fh.seek(0)
             header = [h.strip() for h in next(reader)]
             missing = [c.name for c in schema.columns if c.name not in header]
             if missing:
@@ -331,7 +330,7 @@ def write_atomic(path: str, data: bytes) -> None:
 def save_dataset(ds: DatasetSplit, path: str) -> None:
     """EIDD container: header, row-major float32 features, u8 labels."""
     n, f = ds.features.shape
-    write_atomic(path, DATASET_MAGIC + struct.pack("<HIH", DATASET_VERSION, n, f)
+    write_atomic(path, DATASET_MAGIC + _DATASET_HEAD.pack(DATASET_VERSION, n, f)
                  + ds.features.astype("<f4").tobytes()
                  + ds.labels.astype(np.uint8).tobytes())
 
@@ -341,10 +340,10 @@ def load_dataset(path: str) -> DatasetSplit:
         buf = fh.read()
     if buf[:4] != DATASET_MAGIC:
         raise BadMagic(f"{path} is not a dataset file")
-    off = 4 + struct.calcsize("<HIH")
+    off = 4 + _DATASET_HEAD.size
     if len(buf) < off:
         raise StoreError(f"{path} is {len(buf)} bytes, shorter than its {off}-byte header")
-    version, n, f = struct.unpack_from("<HIH", buf, 4)
+    version, n, f = _DATASET_HEAD.unpack_from(buf, 4)
     if version != DATASET_VERSION:
         raise VersionUnsupported(f"{path}: version {version}, expected {DATASET_VERSION}")
     if f == 0:

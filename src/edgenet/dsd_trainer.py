@@ -22,7 +22,7 @@ always runs its whole ramp to the final sparsity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .errors import ConfigError, NonFiniteLoss, SingleClassInput
 from .lstm_net import (NetworkParams, backward, bce_loss, forward_batch,
                        init_params, is_weight_name, scores, stack_rows, to_sequences)
 from .metrics import roc_curve
-from .optimizer import ParamTree, SgdmState, l2_term, sgdm_step
+from .optimizer import ParamTree, l2_term, sgdm_step
 from .pruning import (SparsityMask, apply_masks, compute_masks, schedule_a,
                       schedule_sparsity, select_swd_subset, total_weight_decay)
 
@@ -72,10 +72,9 @@ class TrainRun:
     mask_violations: int = 0
 
     def csv(self) -> str:
-        lines = ["epoch,phase,train_loss,err,wd,a_twd,val_loss,val_auc,sparsity,a"]
-        for r in self.records:
-            lines.append(f"{r.epoch},{r.phase},{r.train_loss!r},{r.err!r},{r.wd!r},"
-                         f"{r.a_twd!r},{r.val_loss!r},{r.val_auc!r},{r.sparsity!r},{r.a!r}")
+        # every field is a Python int, str or float, and str(float) is repr(float)
+        lines = [",".join(f.name for f in fields(EpochRecord))]
+        lines += [",".join(map(str, astuple(r))) for r in self.records]
         return "\n".join(lines) + "\n"
 
 
@@ -115,7 +114,7 @@ def _run_phase(net: NetworkParams, data: DatasetSplit, run: TrainRun, phase: str
     cfg, swd = getattr(run.cfg.phases, phase), run.cfg.pruning
     rows = net.rows()
     weights = [k for k in rows if is_weight_name(k)]
-    state = SgdmState.init(rows, alpha=run.cfg.phases.momentum, eta=cfg.learning_rate)
+    delta = {k: np.zeros_like(v) for k, v in rows.items()}
     x_seq = to_sequences(data.features, net.input_size)
     y = data.labels.astype(np.float64)
     n = len(y)
@@ -150,16 +149,13 @@ def _run_phase(net: NetworkParams, data: DatasetSplit, run: TrainRun, phase: str
                 err = float(np.mean(bce_loss(p, y[idx])))
                 grads = backward(net, cache, y[idx]).rows()
 
-                wd_pen = 0.0
+                wd_pen = twd_pen = 0.0
                 for k in weights:
                     pens, g = l2_term(rows[k], swd.mu)
                     grads[k] += g
                     for pen in pens.tolist():
                         wd_pen += pen
-
-                twd_pen = 0.0
-                if phase == PHASE_SPARSE:
-                    for k in weights:
+                    if phase == PHASE_SPARSE:
                         sel = select_swd_subset(rows[k], a, swd.target_threshold)
                         twd, gvals = total_weight_decay(rows[k], sel, swd.mu)
                         grads[k][sel] += a * gvals
@@ -175,7 +171,7 @@ def _run_phase(net: NetworkParams, data: DatasetSplit, run: TrainRun, phase: str
                     if not np.isfinite(norm):
                         raise NonFiniteLoss(f"{phase} phase diverged at epoch {e} "
                                             f"(gradient norm={norm})")
-                sgdm_step(rows, grads, state)
+                sgdm_step(rows, grads, delta, run.cfg.phases.momentum, cfg.learning_rate)
                 if phase == PHASE_SPARSE:
                     apply_masks(rows, keep)
                     for k, m in keep.masks.items():
@@ -209,6 +205,9 @@ def _run_phase(net: NetworkParams, data: DatasetSplit, run: TrainRun, phase: str
     if best_rows is not None:
         for k, v in best_rows.items():
             rows[k][...] = v
+    # the loss and norm checks run before each step, so none sees the last one
+    if not all((np.abs(v) <= np.finfo(np.float32).max).all() for v in rows.values()):
+        raise NonFiniteLoss(f"{phase} phase diverged: a parameter is outside the float32 range")
 
 
 def train_dsd(cfg: RunConfig, train_split: DatasetSplit,

@@ -35,12 +35,14 @@ class MetricReport:
     f1: float
 
     def csv_row(self) -> str:
-        """Percentages with 4 decimals, column order FAR%, Acc%, Prec%, DR%, F1%."""
-        vals = (self.far, self.accuracy, self.precision, self.detection_rate, self.f1)
-        return ",".join(f"{100.0 * v:.4f}" for v in vals)
+        """Percentages with 4 decimals, in the columns of ``METRICS_CSV_HEADER``."""
+        return ",".join(f"{100.0 * getattr(self, f):.4f}" for _, f in _METRICS_COLUMNS)
 
 
-METRICS_CSV_HEADER = "FAR%,Acc%,Prec%,DR%,F1%"
+# (metrics.csv column, MetricReport field), in column order
+_METRICS_COLUMNS = (("FAR%", "far"), ("Acc%", "accuracy"), ("Prec%", "precision"),
+                    ("DR%", "detection_rate"), ("F1%", "f1"))
+METRICS_CSV_HEADER = ",".join(col for col, _ in _METRICS_COLUMNS)
 
 
 @dataclass(frozen=True)

@@ -49,9 +49,20 @@ DTYPE_F32 = 0
 DTYPE_I8 = 1
 ENC_DENSE = 0
 ENC_BITMAP = 1
-DTYPE_NAMES = {DTYPE_F32: "float32", DTYPE_I8: "int8"}
-ENCODING_NAMES = {ENC_DENSE: "dense", ENC_BITMAP: "bitmap-sparse"}
 _NP_DTYPES = {DTYPE_F32: np.dtype("<f4"), DTYPE_I8: np.dtype("i1")}
+DTYPE_NAMES = {code: dt.name for code, dt in _NP_DTYPES.items()}
+ENCODING_NAMES = {ENC_DENSE: "dense", ENC_BITMAP: "bitmap-sparse"}
+
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_VERSION_COUNT = struct.Struct("<HH")
+_TENSOR_HEAD = struct.Struct("<BBB")  # dtype, encoding, rank
+_INT8_PARAMS_LEN = struct.Struct("<fiI")  # scale, zero point, payload length
+
+
+@functools.cache
+def _dims(rank: int) -> struct.Struct:
+    return struct.Struct(f"<{rank}I")
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,29 +145,17 @@ def _write_container(path: str, arch: dict, records: list[TensorRecord]) -> None
     if len(set(names)) != len(names):
         raise StoreError("tensor names must be unique")
     arch_json = json.dumps(arch, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    parts = [MAGIC, struct.pack("<HHI", VERSION, len(records), len(arch_json)), arch_json]
+    parts = [MAGIC, _VERSION_COUNT.pack(VERSION, len(records)), _U32.pack(len(arch_json)),
+             arch_json]
     for r in records:
         name_b = r.name.encode("utf-8")
-        parts += [struct.pack("<H", len(name_b)), name_b,
-                  struct.pack(f"<BBB{len(r.shape)}I", r.dtype, r.encoding, len(r.shape),
-                              *r.shape)]
-        if r.dtype == DTYPE_I8:
-            parts.append(struct.pack("<fi", r.scale, r.zero_point))
-        parts += [struct.pack("<I", len(r.payload)), r.payload,
-                  struct.pack("<I", zlib.crc32(r.payload))]
+        parts += [_U16.pack(len(name_b)), name_b,
+                  _TENSOR_HEAD.pack(r.dtype, r.encoding, len(r.shape)),
+                  _dims(len(r.shape)).pack(*r.shape)]
+        parts.append(_INT8_PARAMS_LEN.pack(r.scale, r.zero_point, len(r.payload))
+                     if r.dtype == DTYPE_I8 else _U32.pack(len(r.payload)))
+        parts += [r.payload, _U32.pack(zlib.crc32(r.payload))]
     write_atomic(path, b"".join(parts))
-
-
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
-_VERSION_COUNT = struct.Struct("<HH")
-_TENSOR_HEAD = struct.Struct("<BBB")  # dtype, encoding, rank
-_INT8_PARAMS_LEN = struct.Struct("<fiI")  # scale, zero point, payload length
-
-
-@functools.cache
-def _dims(rank: int) -> struct.Struct:
-    return struct.Struct(f"<{rank}I")
 
 
 def _text(buf: bytes, start: int, n: int, path: str) -> str:

@@ -3,9 +3,9 @@
 Functions operate on "parameter trees": ordered dicts mapping names to numpy
 arrays. Training passes the network's row view (``NetworkParams.rows()``,
 one row per gate tensor), and ``l2_term`` takes one of its 2-D arrays only.
-The momentum step updates the parameter arrays and the momentum buffers in
-place, so a tree of views trains its network directly. It stores the
-previous parameter change and applies
+The momentum step updates the parameter arrays and the caller's momentum
+buffers (the previous parameter change, zeros at first) in place, so a tree
+of views trains its network directly. It applies
 
     update = -eta * grad + alpha * previous_update
 
@@ -13,8 +13,6 @@ so a first step (or alpha=0) reduces to plain SGD.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,28 +30,15 @@ def _check_congruent(a: ParamTree, b: ParamTree, what: str) -> None:
                 f"{what}: shape mismatch for '{name}': {a[name].shape} vs {b[name].shape}")
 
 
-@dataclass
-class SgdmState:
-    """Momentum state: the previous per-tensor parameter change."""
-
-    delta_prev: ParamTree
-    alpha: float
-    eta: float
-
-    @classmethod
-    def init(cls, params: ParamTree, alpha: float, eta: float) -> "SgdmState":
-        return cls(delta_prev={name: np.zeros_like(arr) for name, arr in params.items()},
-                   alpha=alpha, eta=eta)
-
-
-def sgdm_step(theta: ParamTree, grad: ParamTree, state: SgdmState) -> None:
-    """Momentum step, in place on ``theta`` and ``state.delta_prev``."""
+def sgdm_step(theta: ParamTree, grad: ParamTree, delta: ParamTree,
+              alpha: float, eta: float) -> None:
+    """Momentum step, in place on ``theta`` and the buffers ``delta``."""
     _check_congruent(theta, grad, "sgdm_step")
-    _check_congruent(theta, state.delta_prev, "sgdm_step state")
-    for name, delta in state.delta_prev.items():
-        delta *= state.alpha
-        delta -= state.eta * grad[name]
-        theta[name] += delta
+    _check_congruent(theta, delta, "sgdm_step momentum")
+    for name, d in delta.items():
+        d *= alpha
+        d -= eta * grad[name]
+        theta[name] += d
 
 
 def l2_term(weights: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:

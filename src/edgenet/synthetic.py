@@ -56,12 +56,9 @@ def make_synthetic(n_rows: int = 5000, seed: int = 11) -> tuple[np.ndarray, np.n
 
 
 def write_csv(path: str, x: np.ndarray, y: np.ndarray) -> None:
-    header = ",".join(f"f{i}" for i in range(x.shape[1])) + ",label"
-    lines = [header]
-    for row, label in zip(x, y):
-        lines.append(",".join(f"{v:.6f}" for v in row) + f",{int(label)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    d = x.shape[1]
+    np.savetxt(path, np.column_stack((x, y)), fmt=["%.6f"] * d + ["%d"], delimiter=",",
+               header=",".join(f"f{i}" for i in range(d)) + ",label", comments="")
 
 
 def config_dict(seed: int = 42) -> dict:

@@ -569,6 +569,25 @@ class TestErrorPaths:
         assert captured.err == "error: dense phase diverged at epoch 1 (loss=inf)\n"
         assert not out.exists()
 
+    def test_divergence_in_the_last_redense_step_exit_code(self, workdir, capsys):
+        # one re-dense step leaves weights past the float32 range (finite in
+        # float64); no loss or norm check runs after the last step
+        tmp, cfg, csv = workdir
+        doc = json.loads(open(cfg).read())
+        doc["phases"]["redense"].update({"learning_rate": 1e308, "epochs": 1,
+                                         "batch_size": 10_000})
+        bad_cfg = tmp / "bad.json"
+        bad_cfg.write_text(json.dumps(doc), encoding="utf-8")
+        data, out = str(tmp / "data"), tmp / "m"
+        assert main(["preprocess", "--config", cfg, "--csv", csv, "--out", data]) == 0
+        capsys.readouterr()
+        rc = main(["train", "--config", str(bad_cfg), "--data", data, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 4 and captured.out == ""
+        assert captured.err == ("error: redense phase diverged: "
+                                "a parameter is outside the float32 range\n")
+        assert not out.exists()
+
     def test_validation_split_of_another_width_rejected(self, workdir, capsys):
         tmp, cfg, csv = workdir
         data, out = tmp / "data", tmp / "m"

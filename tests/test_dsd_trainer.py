@@ -11,7 +11,7 @@ from edgenet.dsd_trainer import (PHASE_DENSE, PHASE_REDENSE, PHASE_SPARSE,
 from edgenet.errors import ConfigError, NonFiniteLoss
 from edgenet.lstm_net import (NetworkParams, backward, bce_loss, forward_batch,
                               init_params, scores, stack_rows, to_sequences)
-from edgenet.optimizer import SgdmState, sgdm_step
+from edgenet.optimizer import sgdm_step
 from edgenet.pruning import compute_masks
 from edgenet.synthetic import make_synthetic
 
@@ -102,7 +102,8 @@ class TestDensePhase:
         theta = start.tensors()
         for name in start.weight_names():
             grads[name] = grads[name] + 2.0 * mu * theta[name]
-        sgdm_step(theta, grads, SgdmState.init(theta, alpha=0.9, eta=0.05))
+        sgdm_step(theta, grads, {k: np.zeros_like(v) for k, v in theta.items()},
+                  alpha=0.9, eta=0.05)
         for name, arr in start.tensors().items():
             np.testing.assert_array_equal(net.tensors()[name], arr)
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from edgenet.errors import DimensionMismatch
-from edgenet.optimizer import SgdmState, l2_term, sgdm_step
+from edgenet.optimizer import l2_term, sgdm_step
 
 finite_arrays = arrays(np.float64, st.integers(1, 8),
                        elements=st.floats(-10, 10, allow_nan=False))
@@ -15,9 +15,14 @@ def tree(**kw):
     return {k: np.asarray(v, dtype=np.float64) for k, v in kw.items()}
 
 
+def zeros(theta):
+    """Fresh momentum buffers for ``theta``."""
+    return {k: np.zeros_like(v) for k, v in theta.items()}
+
+
 def sgd(theta, grad, eta):
     """Plain SGD: one momentum step with alpha 0, in place on theta."""
-    sgdm_step(theta, grad, SgdmState.init(theta, alpha=0.0, eta=eta))
+    sgdm_step(theta, grad, zeros(theta), alpha=0.0, eta=eta)
     return theta
 
 
@@ -39,32 +44,37 @@ class TestSgd:
         with pytest.raises(DimensionMismatch):
             sgd(tree(w=[1.0]), tree(w=[1.0, 2.0]), eta=0.1)
 
+    @pytest.mark.parametrize("delta", [{"w": np.zeros(2)}, {"v": np.zeros(1)}])
+    def test_momentum_buffers_must_match(self, delta):
+        with pytest.raises(DimensionMismatch):
+            sgdm_step(tree(w=[1.0]), tree(w=[0.5]), delta, alpha=0.9, eta=0.1)
+
 
 class TestSgdm:
     def test_first_step_reduces_to_sgd(self):
         theta = tree(w=[1.0])
-        state = SgdmState.init(theta, alpha=0.9, eta=0.1)
-        sgdm_step(theta, tree(w=[0.5]), state)
+        delta = zeros(theta)
+        sgdm_step(theta, tree(w=[0.5]), delta, alpha=0.9, eta=0.1)
         assert theta["w"] == pytest.approx([0.95])
-        assert state.delta_prev["w"] == pytest.approx([-0.05])
+        assert delta["w"] == pytest.approx([-0.05])
 
     def test_second_step_accumulates_momentum(self):
         theta = tree(w=[1.0])
         grad = tree(w=[0.5])
-        state = SgdmState.init(theta, alpha=0.9, eta=0.1)
-        sgdm_step(theta, grad, state)
-        sgdm_step(theta, grad, state)
+        delta = zeros(theta)
+        sgdm_step(theta, grad, delta, alpha=0.9, eta=0.1)
+        sgdm_step(theta, grad, delta, alpha=0.9, eta=0.1)
         assert theta["w"] == pytest.approx([0.855])
 
     def test_coasting_update_is_geometric(self):
         theta = tree(w=[1.0])
-        state = SgdmState(delta_prev=tree(w=[-0.05]), alpha=0.9, eta=0.1)
-        sgdm_step(theta, tree(w=[0.0]), state)
-        assert state.delta_prev["w"] == pytest.approx([-0.045])
+        delta = tree(w=[-0.05])
+        sgdm_step(theta, tree(w=[0.0]), delta, alpha=0.9, eta=0.1)
+        assert delta["w"] == pytest.approx([-0.045])
         for _ in range(50):
-            prev = abs(state.delta_prev["w"][0])
-            sgdm_step(theta, tree(w=[0.0]), state)
-            assert abs(state.delta_prev["w"][0]) == pytest.approx(0.9 * prev)
+            prev = abs(delta["w"][0])
+            sgdm_step(theta, tree(w=[0.0]), delta, alpha=0.9, eta=0.1)
+            assert abs(delta["w"][0]) == pytest.approx(0.9 * prev)
 
     @settings(max_examples=100, deadline=None)
     @given(finite_arrays, finite_arrays, st.floats(1e-4, 1.0))
@@ -79,9 +89,9 @@ class TestSgdm:
         th, g = rng.normal(size=6), rng.normal(size=6)
         perm = rng.permutation(6)
         direct = {"w": th.copy()}
-        sgdm_step(direct, {"w": g}, SgdmState.init(direct, alpha=0.5, eta=0.2))
+        sgdm_step(direct, {"w": g}, zeros(direct), alpha=0.5, eta=0.2)
         permuted = {"w": th[perm]}
-        sgdm_step(permuted, {"w": g[perm]}, SgdmState.init(permuted, alpha=0.5, eta=0.2))
+        sgdm_step(permuted, {"w": g[perm]}, zeros(permuted), alpha=0.5, eta=0.2)
         inv = np.empty(6, dtype=int)
         inv[perm] = np.arange(6)
         np.testing.assert_array_equal(permuted["w"][inv], direct["w"])
@@ -89,8 +99,7 @@ class TestSgdm:
     def test_updates_views_in_place(self):
         stacked = np.array([[1.0, 2.0], [3.0, 4.0]])
         theta = {"a": stacked[:1], "b": stacked[1:]}
-        sgdm_step(theta, tree(a=[[1.0, 1.0]], b=[[0.0, 2.0]]),
-                  SgdmState.init(theta, alpha=0.9, eta=0.5))
+        sgdm_step(theta, tree(a=[[1.0, 1.0]], b=[[0.0, 2.0]]), zeros(theta), alpha=0.9, eta=0.5)
         np.testing.assert_array_equal(stacked, [[0.5, 1.5], [3.0, 3.0]])
 
 
