@@ -48,12 +48,13 @@ def cmd_preprocess(cfg: RunConfig, csv_in: str, out_dir: str) -> int:
     enc = dp.fit_label_encoding(table, cfg.schema, row_indices=splits["train"])
     stats = dp.fit_minmax(table, cfg.schema, enc, row_indices=splits["train"])
 
+    # every split is transformed (an unseen category fails) before the first write
+    datasets = {name: dp.apply_transform(table, cfg.schema, enc, stats, row_indices=indices)
+                for name, indices in splits.items()}
     os.makedirs(out_dir, exist_ok=True)
-    counts = {}
-    for name, indices in splits.items():
-        split = dp.apply_transform(table, cfg.schema, enc, stats, row_indices=indices)
+    for name, split in datasets.items():
         dp.save_dataset(split, os.path.join(out_dir, SPLIT_FILES[name]))
-        counts[name] = len(split)
+    counts = {name: len(split) for name, split in datasets.items()}
     dp.save_sidecar(os.path.join(out_dir, "sidecar.json"), cfg.schema, enc, stats,
                     meta={"seed": cfg.seed, "ratios": list(cfg.split.ratios), "rows": counts})
     print(f"preprocessed {len(table)} rows -> " +
@@ -82,11 +83,6 @@ def cmd_train(cfg: RunConfig, data_dir: str, out_dir: str) -> int:
 
 def cmd_quantize(model_in: str, model_out: str) -> int:
     loaded = store.load_model(model_in)
-    if loaded.kind == "quantized":
-        # already 8-bit: pass through unchanged (recalibration would drift)
-        store.save_quantized(loaded.qmodel, model_out)
-        print(f"{model_in} is already quantized; re-serialized to {model_out}")
-        return EXIT_OK
     store.save_quantized(quantize_model(loaded.params, mask=loaded.mask), model_out)
     ratio = os.path.getsize(model_in) / os.path.getsize(model_out)
     print(f"quantized {model_in} -> {model_out} ({ratio:.2f}x smaller)")
@@ -123,18 +119,24 @@ def cmd_evaluate(model_path: str, data_path: str, threshold: float,
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         dp.write_atomic(os.path.join(out_dir, "metrics.csv"), metrics_text.encode("utf-8"))
+        roc_path = os.path.join(out_dir, "roc.csv")
         if roc_text is not None:
-            dp.write_atomic(os.path.join(out_dir, "roc.csv"), roc_text.encode("utf-8"))
+            dp.write_atomic(roc_path, roc_text.encode("utf-8"))
+        elif os.path.exists(roc_path):  # an earlier run's ROC is not this split's
+            os.remove(roc_path)
     return EXIT_OK
 
 
 def cmd_size_report(baseline: str, others: list[str], evals: dict[str, str],
                     out_file: str | None) -> int:
     accuracies = {name: _accuracy_from_metrics_csv(path) for name, path in evals.items()}
-    paths = [baseline] + [p for p in others if os.path.abspath(p) != os.path.abspath(baseline)]
+    paths = list({os.path.abspath(p): p for p in [baseline] + others}.values())  # one row per file
     for path in paths:
         store.inspect(path)  # StoreError unless a model container
     names = [os.path.splitext(os.path.basename(p))[0] for p in paths]
+    shared = sorted({n for n in names if names.count(n) > 1})
+    if shared:  # rows and --eval accuracies are keyed by name
+        raise ConfigError(f"different model files share the name {', '.join(shared)}")
     unmatched = sorted(set(evals) - set(names))
     if unmatched:
         raise ConfigError(f"--eval names no model in the report: {', '.join(unmatched)}")

@@ -226,7 +226,7 @@ def _read_container(path: str) -> tuple[dict, list[TensorRecord]]:
 
 
 def _arch_dict(layer_sizes, dropout_rate, int8: bool = False) -> dict:
-    """The v1 architecture object, with its two fixed values."""
+    """The v1 architecture object, with its two fixed values; ``load_model`` takes no other."""
     arch = {"layer_sizes": list(layer_sizes), "dropout_rate": dropout_rate,
             "tied_output_gate": False}
     if int8:
@@ -285,19 +285,20 @@ def load_model(path: str) -> LoadedModel:
 
 def _assemble_model(arch: dict, records: list[TensorRecord]) -> LoadedModel:
     sizes = arch["layer_sizes"]
+    int8 = any(r.dtype == DTYPE_I8 for r in records)
+    want = {k: (type(v), v) for k, v in _arch_dict(sizes, arch["dropout_rate"], int8).items()}
+    have = {k: (type(v), v) for k, v in arch.items()}  # typed, so 0 is not false
+    differ = sorted(k for k in have.keys() | want.keys() if have.get(k) != want.get(k))
+    if differ:
+        raise StoreError(f"architecture keys {', '.join(differ)} differ from the writer's")
     implied = sum(4 * h * (h + d) + 4 * h for d, h in zip(sizes[:-1], sizes[1:])) + sizes[-1] + 1
     stored = sum(math.prod(r.shape) for r in records)
     if implied != stored:
         raise StoreError(f"layer_sizes {sizes} imply {implied} entries, the records hold {stored}")
-    if arch["tied_output_gate"] is not False:
-        raise StoreError(f"tied_output_gate must be false, got {arch['tied_output_gate']!r}")
     net = zeros_params(sizes, dropout_rate=arch["dropout_rate"])
     views = net.tensors()
     if {r.name: r.shape for r in records} != {name: v.shape for name, v in views.items()}:
         raise StoreError("tensor names or shapes do not fit the architecture")
-    int8 = any(r.dtype == DTYPE_I8 for r in records)
-    if int8 and arch.get("quant_range", [Q_MIN, Q_MAX]) != [Q_MIN, Q_MAX]:
-        raise StoreError(f"quant_range must be [{Q_MIN}, {Q_MAX}], got {arch['quant_range']!r}")
     masks, weights, biases = {}, {}, {}
     for r in records:
         values, keep = r.decode()

@@ -1,11 +1,13 @@
 """Post-training dynamic-range quantization of weights to signed int8.
 
 Per-tensor affine mapping r ~ S * (q - Z) onto the full int8 range
-[-128, 127]. Calibration takes each tensor's observed range, widened to
-include 0, so that real 0 maps exactly onto the zero point (pruned
-weights stay exactly zero through a round trip). Rounding is half-to-even
-for both q and Z. Biases are never quantized; activations and the cell
-state stay in floating point at inference time.
+[-128, 127]. Calibration widens each tensor's observed range to include 0
+and maps its ends onto q = -128 and 127, so real 0 is exactly the zero
+point (pruned weights stay exactly zero). As the container stores S as
+float32, S * (q - Z) is exact in float64 and calibrates back to the same
+S, Z and q: requantizing this module's int8 output reproduces its bytes.
+Rounding is half-to-even. Biases are never quantized; activations and the
+cell state stay in floating point at inference time.
 """
 
 from __future__ import annotations
@@ -53,27 +55,16 @@ class QuantizedModel:
     mask: SparsityMask | None = None
 
 
-def calibrate(tensor: np.ndarray) -> tuple[float, float]:
-    """Exact min/max of the tensor, widened to include 0."""
-    t = np.asarray(tensor)
-    if t.size == 0:
+def quant_params(tensor: np.ndarray) -> QuantParams:
+    """S = (f_max - f_min) / 255 and Z = round(-128 - f_min / S) over the range widened to
+    include 0, so Z needs no clip; S = 0 in the file's float32 maps to S=1, Z=0."""
+    if np.size(tensor) == 0:
         raise EmptyTensor("cannot calibrate an empty tensor")
-    return min(float(t.min()), 0.0), max(float(t.max()), 0.0)
-
-
-def make_quant_params(f_min: float, f_max: float) -> QuantParams:
-    """Scale S = (f_max - f_min) / 255; Z = round(-128 - f_min / S).
-
-    A degenerate range (f_min == f_max), or one so narrow that S rounds to
-    0 in the container's float32 scale field, maps to S=1, Z=0.
-    """
-    if f_min > f_max:
-        raise ConfigError(f"f_min {f_min} > f_max {f_max}")
+    f_min, f_max = min(float(np.min(tensor)), 0.0), max(float(np.max(tensor)), 0.0)
     scale = (f_max - f_min) / (Q_MAX - Q_MIN)
     if np.float32(scale) == 0.0:
         return QuantParams(scale=1.0, zero_point=0)
-    z = int(np.clip(np.rint(Q_MIN - f_min / scale), Q_MIN, Q_MAX))
-    return QuantParams(scale=scale, zero_point=z)
+    return QuantParams(scale=scale, zero_point=int(np.rint(Q_MIN - f_min / scale)))
 
 
 def quantize(tensor: np.ndarray, params: QuantParams) -> QuantizedTensor:
@@ -102,7 +93,7 @@ def quantize_model(net: NetworkParams, mask: SparsityMask | None = None) -> Quan
         if not np.isfinite(arr).all():
             raise ConfigError(f"cannot quantize tensor '{name}': it holds NaN or inf")
         if is_weight_name(name):
-            weights[name] = quantize(arr, make_quant_params(*calibrate(arr)))
+            weights[name] = quantize(arr, quant_params(arr))
         else:
             biases[name] = np.asarray(arr, dtype=np.float32)
     return QuantizedModel(weights=weights, biases=biases, layer_sizes=net.layer_sizes,

@@ -18,8 +18,7 @@ from edgenet.dsd_trainer import train_dsd
 from edgenet.lstm_net import backward, forward_batch, init_params, scores
 from edgenet.metrics import ConfusionMatrix, metrics_from_confusion, roc_curve
 from edgenet.model_store import DTYPE_I8, inspect, load_model
-from edgenet.quantizer import (calibrate, dequantize, make_quant_params,
-                               quantize, quantized_scores)
+from edgenet.quantizer import dequantize, quant_params, quantize, quantized_scores
 from edgenet.synthetic import config_dict, make_synthetic, write_csv
 
 from oracles import (brute_metrics, finite_difference_gradients,
@@ -180,8 +179,8 @@ def test_c5_quantization_round_trip(pipeline):
     rng = np.random.default_rng(5)
     for _ in range(20):
         tensor = rng.normal(scale=rng.uniform(0.01, 3.0), size=500)
-        f_min, f_max = calibrate(tensor)
-        qp = make_quant_params(f_min, f_max)
+        qp = quant_params(tensor)
+        f_min, f_max = min(tensor.min(), 0.0), max(tensor.max(), 0.0)  # the widened range
         grid = np.linspace(f_min, f_max, 10_000)
         back = dequantize(quantize(grid, qp))
         assert np.max(np.abs(back - grid)) <= qp.scale + 1e-12

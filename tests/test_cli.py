@@ -135,6 +135,35 @@ class TestErrorPaths:
         assert rc == 1
         assert "UnknownCategory" in capsys.readouterr().err
 
+    def test_failed_preprocess_leaves_the_output_directory_as_it_was(self, tmp_path, capsys):
+        """An unseen category in the test split is found before any split is
+        written, so a directory from an earlier run is not left half replaced."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "seed": 42,
+            "schema": {"columns": [{"name": "dur", "kind": "numeric"},
+                                   {"name": "proto", "kind": "categorical"},
+                                   {"name": "label", "kind": "label"}],
+                       "selected_features": ["dur", "proto"]},
+            "split": {"ratios": [0.6, 0.2, 0.2]}}), encoding="utf-8")
+        n, out = 10, tmp_path / "out"
+        _, _, test_idx = split_indices(n, (0.6, 0.2, 0.2), seed=42)
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        first.write_text("dur,proto,label\n" + "".join(
+            f"{i}.0,tcp,{i % 2}\n" for i in range(n)), encoding="utf-8")
+        protos = ["tcp"] * n
+        protos[int(test_idx[0])] = "udp"
+        second.write_text("dur,proto,label\n" + "".join(
+            f"{i * i}.5,{protos[i]},{i % 2}\n" for i in range(n)), encoding="utf-8")
+        assert main(["preprocess", "--config", str(cfg), "--csv", str(first),
+                     "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == ["sidecar.json", "test.eidd", "train.eidd", "val.eidd"]
+        assert main(["preprocess", "--config", str(cfg), "--csv", str(second),
+                     "--out", str(out)]) == 1
+        assert "UnknownCategory" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_unknown_config_key(self, tmp_path, capsys):
         # a typo, and the settings that were deleted: older demo configs
         # carry them and must fail at load, naming the key
@@ -748,6 +777,26 @@ class TestSizeReport:
         assert main(["size-report", "--baseline", path, path]) == 0
         assert capsys.readouterr().out.splitlines() == [
             "name,accuracy,size_bytes,ratio", f"m,,{os.path.getsize(path)},1.0000"]
+        # any file listed twice, under any spelling of its path, is one row
+        assert main(["size-report", "--baseline", path, path, str(tmp_path / "." / "m.eidm")]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+
+    def test_two_files_with_one_name_exit_1(self, tmp_path, capsys):
+        """Rows and --eval accuracies are keyed by name, so two different
+        files named alike would share one accuracy; the report refuses them."""
+        for d in ("models", "m2"):
+            (tmp_path / d).mkdir()
+            save_dense(zeros_params((3, 4), dropout_rate=0.0), str(tmp_path / d / "baseline.eidm"))
+        save_dense(zeros_params((3, 5), dropout_rate=0.0), str(tmp_path / "models" / "p.eidm"))
+        (tmp_path / "metrics.csv").write_text("FAR%,Acc%\n1.0,50.0\n", encoding="utf-8")
+        out = tmp_path / "report.csv"
+        assert main(["size-report", "--baseline", str(tmp_path / "models" / "baseline.eidm"),
+                     str(tmp_path / "m2" / "baseline.eidm"), str(tmp_path / "models" / "p.eidm"),
+                     "--eval", f"baseline={tmp_path / 'metrics.csv'}", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "ConfigError" in captured.err
+        assert "share the name baseline" in captured.err
+        assert not out.exists()
 
     def test_csv_columns(self, tmp_path, capsys):
         path = str(tmp_path / "m.eidm")
@@ -876,6 +925,17 @@ class TestEvaluateEdgeCases:
         assert "single-class" in captured.err
         assert os.path.exists(os.path.join(out_dir, "metrics.csv"))
         assert not os.path.exists(os.path.join(out_dir, "roc.csv"))
+
+        # a two-class split first, then the single-class one into the same
+        # directory: the first run's ROC does not stay beside the new metrics
+        two = str(tmp_path / "two.eidd")
+        save_dataset(DatasetSplit(features=ds.features, labels=np.arange(10) % 2), two)
+        reused = str(tmp_path / "eval2")
+        assert main(["evaluate", model, two, "--out", reused]) == 0
+        assert os.path.exists(os.path.join(reused, "roc.csv"))
+        assert main(["evaluate", model, data, "--out", reused]) == 0
+        assert "single-class" in capsys.readouterr().err
+        assert sorted(os.listdir(reused)) == ["metrics.csv"]
 
 
 class TestQuantizeIdempotence:

@@ -392,6 +392,19 @@ HEADER_FAULTS = {
 }
 
 
+# architecture objects the writer never produces; only load_model reads the object
+ARCH_FAULTS = {
+    "int8_without_quant_range": ("int8", '"layer_sizes":[3,4,4],"tied_output_gate":false',
+                                 "quant_range"),
+    "float_with_quant_range": ("dense", '"layer_sizes":[3,4,4],"quant_range":[-128,127],'
+                               '"tied_output_gate":false', "quant_range"),
+    "extra_key": ("int8", '"layer_sizes":[3,4,4],"quant_range":[-128,127],'
+                  '"tied_output_gate":false,"zz":1', "zz"),
+    "tied_output_gate_zero": ("dense", '"layer_sizes":[3,4,4],"tied_output_gate":0',
+                              "tied_output_gate"),
+}
+
+
 class TestHeaderFaults:
     @staticmethod
     def pruned_int8(tmp_path) -> str:
@@ -415,6 +428,25 @@ class TestHeaderFaults:
         assert main(["predict", path, "--features", "0.1,0.2,0.3"]) == 3
         err = capsys.readouterr().err
         assert err.count("error: ") == 2 and err.count(path) == 2
+
+    @pytest.mark.parametrize("case", sorted(ARCH_FAULTS))
+    def test_architecture_other_than_the_writers_exit_3(self, tmp_path, capsys, case):
+        kind, rest, key = ARCH_FAULTS[case]
+        path = tmp_path / "m.eidm"
+        net = small_net(4)
+        if kind == "int8":
+            save_quantized(quantize_model(net), str(path))
+        else:
+            save_dense(net, str(path))
+        path.write_bytes(_with_arch(path.read_bytes(), f'{{"dropout_rate":0.0,{rest}}}'.encode()))
+        assert len(inspect(str(path))) == len(net.tensors())
+        with pytest.raises(StoreError, match=f"architecture keys {key} differ"):
+            load_model(str(path))
+        for command in (["predict", str(path), "--features", "0.1,0.2,0.3"],
+                        ["quantize", str(path), str(tmp_path / "q.eidm")]):
+            assert main(command) == 3
+        assert f"architecture keys {key} differ" in capsys.readouterr().err
+        assert not (tmp_path / "q.eidm").exists()
 
     def test_every_byte_flip_is_a_store_error_or_a_model(self, tmp_path):
         path = self.pruned_int8(tmp_path)

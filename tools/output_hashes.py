@@ -10,7 +10,10 @@ stdout. The commands:
 - ``train`` at ``seq_len`` 2, and at ``seq_len`` 5 with dropout 0.3 and
   ``grad_clip_norm`` 0.05, both with 4/4/3 epochs (the only end-to-end
   run of BPTT at t >= 1);
-- ``quantize`` of every ``baseline.eidm`` and ``pruned.eidm``;
+- ``quantize`` of every ``baseline.eidm`` and ``pruned.eidm``, and
+  ``quantize`` once more of each int8 model written (``X_quantized.eidm`` to
+  ``X_requantized.eidm``, ``float_q.eidm`` to ``float_qq.eidm``), which
+  must reproduce its input's bytes;
 - ``evaluate --out`` on the test split and ``dump`` of every model;
 - ``evaluate --out`` of the seed-1 ``baseline.eidm`` and the seed-42 int8
   pruned model on the 4000-row train split, the only T = 1 batch larger than
@@ -37,7 +40,7 @@ Two source trees produce the same outputs when their printouts match:
     diff before.txt after.txt
 
 BLAS runs single-threaded, as in the benchmark, so runs are reproducible.
-It takes about 15 seconds.
+It prints 268 lines and takes about 15 seconds.
 """
 
 from __future__ import annotations
@@ -171,6 +174,10 @@ def run_all(run: Run) -> None:
                      ["quantize", os.path.join(out, f"{kind}.eidm"), q])
         models += [(f"{name}-{m[:-5]}", os.path.join(out, m))
                    for m in sorted(os.listdir(out)) if m.endswith(".eidm")]
+        for kind in ("baseline", "pruned"):
+            run.call(f"requantize-{name}-{kind}", cli.main,
+                     ["quantize", os.path.join(out, f"{kind}_quantized.eidm"),
+                      os.path.join(out, f"{kind}_requantized.eidm")])
     run.call("predict", cli.main,
              ["predict", run.path("models", "seed42", "pruned_quantized.eidm"),
               "--features", FEATURES])
@@ -193,6 +200,8 @@ def run_all(run: Run) -> None:
     model_store.save_dense(net, os.path.join(unsw, "float.eidm"))
     run.call("quantize-unsw", cli.main,
              ["quantize", os.path.join(unsw, "float.eidm"), os.path.join(unsw, "float_q.eidm")])
+    run.call("requantize-unsw", cli.main,
+             ["quantize", os.path.join(unsw, "float_q.eidm"), os.path.join(unsw, "float_qq.eidm")])
 
     for name, model in models:
         run.call(f"evaluate-{name}", cli.main,
