@@ -1,9 +1,9 @@
 """Command-line entry point: preprocess, train, quantize, evaluate,
 size-report, predict, dump.
 
-All commands are deterministic given (config, inputs). Exit codes:
-0 success, 1 data/config/validation error, 2 usage error (argparse),
-3 IO or container-format error, 4 training divergence.
+All commands are deterministic given (config, inputs). A handler returns nothing;
+``main`` maps what it raises to the exit code: 0 success, 1 data, config or
+validation error, 2 usage error (argparse), 3 IO or container format, 4 divergence.
 """
 
 from __future__ import annotations
@@ -36,10 +36,22 @@ EXIT_DIVERGED = 4
 SPLIT_FILES = {"train": "train.eidd", "val": "val.eidd", "test": "test.eidd"}
 
 
-def cmd_preprocess(cfg: RunConfig, csv_in: str, out_dir: str) -> int:
+def _config(args: argparse.Namespace) -> RunConfig:
+    cfg = load_config(args.config)
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
+
+
+def _threshold(args: argparse.Namespace) -> float:
+    if not 0.0 <= args.threshold <= 1.0:  # exit 1 before any file is read, not argparse's 2
+        raise ConfigError(f"threshold must be in [0, 1], got {args.threshold}")
+    return args.threshold
+
+
+def cmd_preprocess(args: argparse.Namespace) -> None:
+    cfg = _config(args)
     if cfg.schema is None:
         raise ConfigError("preprocess needs a config with a 'schema' section")
-    table = dp.load_csv(csv_in, cfg.schema)
+    table = dp.load_csv(args.csv, cfg.schema)
     splits = dict(zip(SPLIT_FILES, dp.split_indices(len(table), cfg.split.ratios, cfg.seed)))
     for name, indices in splits.items():
         if len(indices) == 0:
@@ -51,42 +63,40 @@ def cmd_preprocess(cfg: RunConfig, csv_in: str, out_dir: str) -> int:
     # every split is transformed (an unseen category fails) before the first write
     datasets = {name: dp.apply_transform(table, cfg.schema, enc, stats, row_indices=indices)
                 for name, indices in splits.items()}
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     for name, split in datasets.items():
-        dp.save_dataset(split, os.path.join(out_dir, SPLIT_FILES[name]))
+        dp.save_dataset(split, os.path.join(args.out, SPLIT_FILES[name]))
     counts = {name: len(split) for name, split in datasets.items()}
-    dp.save_sidecar(os.path.join(out_dir, "sidecar.json"), cfg.schema, enc, stats,
+    dp.save_sidecar(os.path.join(args.out, "sidecar.json"), cfg.schema, enc, stats,
                     meta={"seed": cfg.seed, "ratios": list(cfg.split.ratios), "rows": counts})
     print(f"preprocessed {len(table)} rows -> " +
           ", ".join(f"{k}={v}" for k, v in counts.items()))
-    return EXIT_OK
 
 
-def cmd_train(cfg: RunConfig, data_dir: str, out_dir: str) -> int:
-    train_split = dp.load_dataset(os.path.join(data_dir, SPLIT_FILES["train"]))
-    val_split = dp.load_dataset(os.path.join(data_dir, SPLIT_FILES["val"]))
+def cmd_train(args: argparse.Namespace) -> None:
+    cfg = _config(args)
+    train_split = dp.load_dataset(os.path.join(args.data, SPLIT_FILES["train"]))
+    val_split = dp.load_dataset(os.path.join(args.data, SPLIT_FILES["val"]))
     net, run = train_dsd(cfg, train_split, val_split)
 
-    os.makedirs(out_dir, exist_ok=True)
-    store.save_dense(run.dense_params, os.path.join(out_dir, "checkpoint_dense.eidm"))
-    store.save_sparse(run.sparse_params, run.final_mask,
-                      os.path.join(out_dir, "pruned.eidm"))
-    store.save_dense(net, os.path.join(out_dir, "baseline.eidm"))
-    dp.write_atomic(os.path.join(out_dir, "run.csv"), run.csv().encode("utf-8"))
+    os.makedirs(args.out, exist_ok=True)
+    store.save_dense(run.dense_params, os.path.join(args.out, "checkpoint_dense.eidm"))
+    store.save_sparse(run.sparse_params, run.final_mask, os.path.join(args.out, "pruned.eidm"))
+    store.save_dense(net, os.path.join(args.out, "baseline.eidm"))
+    dp.write_atomic(os.path.join(args.out, "run.csv"), run.csv().encode("utf-8"))
 
     last = run.records[-1]
     print(f"trained {len(run.records)} epochs; final val_auc={last.val_auc:.6f} "
           f"sparsity={run.final_mask.zero_fraction():.2f} "
           f"mask_violations={run.mask_violations}")
-    return EXIT_OK
 
 
-def cmd_quantize(model_in: str, model_out: str) -> int:
-    loaded = store.load_model(model_in)
-    store.save_quantized(quantize_model(loaded.params, mask=loaded.mask), model_out)
-    ratio = os.path.getsize(model_in) / os.path.getsize(model_out)
-    print(f"quantized {model_in} -> {model_out} ({ratio:.2f}x smaller)")
-    return EXIT_OK
+def cmd_quantize(args: argparse.Namespace) -> None:
+    loaded = store.load_model(args.model_in)
+    in_size = os.path.getsize(args.model_in)  # before the output may replace the input
+    store.save_quantized(quantize_model(loaded.params, mask=loaded.mask), args.model_out)
+    ratio = in_size / os.path.getsize(args.model_out)
+    print(f"quantized {args.model_in} -> {args.model_out} ({ratio:.2f}x smaller)")
 
 
 def _model_scores(loaded: store.LoadedModel, features: np.ndarray) -> np.ndarray:
@@ -98,39 +108,41 @@ def _model_scores(loaded: store.LoadedModel, features: np.ndarray) -> np.ndarray
     return p
 
 
-def cmd_evaluate(model_path: str, data_path: str, threshold: float,
-                 out_dir: str | None) -> int:
-    loaded = store.load_model(model_path)
-    ds = dp.load_dataset(data_path)
+def cmd_evaluate(args: argparse.Namespace) -> None:
+    threshold = _threshold(args)
+    loaded = store.load_model(args.model)
+    ds = dp.load_dataset(args.data)
     p = _model_scores(loaded, ds.features)
     preds = (p >= threshold).astype(np.int64)
     report = metrics_from_confusion(confusion(ds.labels, preds))
     metrics_text = METRICS_CSV_HEADER + "\n" + report.csv_row() + "\n"
     print(metrics_text, end="")
 
-    roc_text = None
+    roc = None
     try:
         roc = roc_curve(p, ds.labels)
         print(f"AUC,{roc.auc:.6f}")
-        roc_text = roc.csv()
     except SingleClassInput:
         print("warning: single-class split, ROC/AUC skipped", file=sys.stderr)
 
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        dp.write_atomic(os.path.join(out_dir, "metrics.csv"), metrics_text.encode("utf-8"))
-        roc_path = os.path.join(out_dir, "roc.csv")
-        if roc_text is not None:
-            dp.write_atomic(roc_path, roc_text.encode("utf-8"))
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        dp.write_atomic(os.path.join(args.out, "metrics.csv"), metrics_text.encode("utf-8"))
+        roc_path = os.path.join(args.out, "roc.csv")
+        if roc is not None:
+            dp.write_atomic(roc_path, roc.csv().encode("utf-8"))
         elif os.path.exists(roc_path):  # an earlier run's ROC is not this split's
             os.remove(roc_path)
-    return EXIT_OK
 
 
-def cmd_size_report(baseline: str, others: list[str], evals: dict[str, str],
-                    out_file: str | None) -> int:
+def cmd_size_report(args: argparse.Namespace) -> None:
+    bad = [item for item in args.eval if "=" not in item]
+    if bad:
+        raise ConfigError(f"--eval expects NAME=CSVPATH, got {bad[0]!r}")
+    evals = dict(item.split("=", 1) for item in args.eval)
     accuracies = {name: _accuracy_from_metrics_csv(path) for name, path in evals.items()}
-    paths = list({os.path.abspath(p): p for p in [baseline] + others}.values())  # one row per file
+    # one row per file
+    paths = list({os.path.abspath(p): p for p in [args.baseline, *args.models]}.values())
     for path in paths:
         store.inspect(path)  # StoreError unless a model container
     names = [os.path.splitext(os.path.basename(p))[0] for p in paths]
@@ -140,7 +152,7 @@ def cmd_size_report(baseline: str, others: list[str], evals: dict[str, str],
     unmatched = sorted(set(evals) - set(names))
     if unmatched:
         raise ConfigError(f"--eval names no model in the report: {', '.join(unmatched)}")
-    base_size = os.path.getsize(baseline)
+    base_size = os.path.getsize(args.baseline)
     lines = ["name,accuracy,size_bytes,ratio"]
     for name, path in zip(names, paths):
         size = os.path.getsize(path)
@@ -148,9 +160,8 @@ def cmd_size_report(baseline: str, others: list[str], evals: dict[str, str],
         lines.append(f"{name},{acc},{size},{base_size / size:.4f}")
     text = "\n".join(lines) + "\n"
     print(text, end="")
-    if out_file:
-        dp.write_atomic(out_file, text.encode("utf-8"))
-    return EXIT_OK
+    if args.out:
+        dp.write_atomic(args.out, text.encode("utf-8"))
 
 
 def _accuracy_from_metrics_csv(path: str) -> float:
@@ -182,17 +193,17 @@ def _parse_features(features_arg: str) -> np.ndarray:
     return np.array(values)
 
 
-def cmd_predict(model_path: str, features_arg: str, threshold: float) -> int:
-    values = _parse_features(features_arg)  # before the model file is read
-    loaded = store.load_model(model_path)
+def cmd_predict(args: argparse.Namespace) -> None:
+    threshold = _threshold(args)
+    values = _parse_features(args.features)  # before the model file is read
+    loaded = store.load_model(args.model)
     p = float(_model_scores(loaded, values[None, :])[0])
     label = int(p >= threshold)
     print(json.dumps({"probability": p, "label": label}))
-    return EXIT_OK
 
 
-def cmd_dump(path: str) -> int:
-    records = store.inspect(path)
+def cmd_dump(args: argparse.Namespace) -> None:
+    records = store.inspect(args.file)
     print(f"{'name':28} {'dtype':8} {'encoding':14} {'shape':14} {'payload':>9} crc")
     for r in records:
         extra = ""
@@ -201,7 +212,6 @@ def cmd_dump(path: str) -> int:
         print(f"{r.name:28} {store.DTYPE_NAMES[r.dtype]:8} {store.ENCODING_NAMES[r.encoding]:14} "
               f"{str(list(r.shape)):14} {r.payload_len:>9} "
               f"{'ok' if r.crc_ok else 'BAD'}{extra}")
-    return EXIT_OK
 
 
 @functools.cache
@@ -213,73 +223,50 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("preprocess", help="CSV -> normalized binary splits")
+    p.set_defaults(run=cmd_preprocess)
     p.add_argument("--config", required=True)
     p.add_argument("--csv", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
 
     p = sub.add_parser("train", help="run the three-phase training")
+    p.set_defaults(run=cmd_train)
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True, help="directory from `preprocess`")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
 
     p = sub.add_parser("quantize", help="float model -> int8 model")
+    p.set_defaults(run=cmd_quantize)
     p.add_argument("model_in")
     p.add_argument("model_out")
 
     p = sub.add_parser("evaluate", help="metrics + ROC for a model on a split")
+    p.set_defaults(run=cmd_evaluate)
     p.add_argument("model")
     p.add_argument("data", help="an .eidd split file")
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--out", help="directory for metrics.csv / roc.csv")
 
     p = sub.add_parser("size-report", help="byte sizes and ratios vs a baseline")
+    p.set_defaults(run=cmd_size_report)
     p.add_argument("--baseline", required=True)
     p.add_argument("models", nargs="*")
-    p.add_argument("--eval", action="append", default=[],
-                   metavar="NAME=METRICS_CSV",
+    p.add_argument("--eval", action="append", default=[], metavar="NAME=METRICS_CSV",
                    help="attach an accuracy from an evaluate run")
     p.add_argument("--out")
 
     p = sub.add_parser("predict", help="classify one record")
+    p.set_defaults(run=cmd_predict)
     p.add_argument("model")
     p.add_argument("--features", required=True,
                    help="comma-separated normalized values, each in [0, 1] (else exit 1)")
     p.add_argument("--threshold", type=float, default=0.5)
 
     p = sub.add_parser("dump", help="print a container's tensor table")
+    p.set_defaults(run=cmd_dump)
     p.add_argument("file")
     return ap
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command in ("preprocess", "train"):
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if args.command == "preprocess":
-            return cmd_preprocess(cfg, args.csv, args.out)
-        return cmd_train(cfg, args.data, args.out)
-    if args.command == "quantize":
-        return cmd_quantize(args.model_in, args.model_out)
-    if args.command in ("evaluate", "predict") and not 0.0 <= args.threshold <= 1.0:
-        raise ConfigError(f"threshold must be in [0, 1], got {args.threshold}")
-    if args.command == "evaluate":
-        return cmd_evaluate(args.model, args.data, args.threshold, args.out)
-    if args.command == "size-report":
-        evals = {}
-        for item in args.eval:
-            if "=" not in item:
-                raise ConfigError(f"--eval expects NAME=CSVPATH, got {item!r}")
-            name, path = item.split("=", 1)
-            evals[name] = path
-        return cmd_size_report(args.baseline, args.models, evals, args.out)
-    if args.command == "predict":
-        return cmd_predict(args.model, args.features, args.threshold)
-    if args.command == "dump":
-        return cmd_dump(args.file)
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 def _attach_features(argv: list[str]) -> list[str]:
@@ -298,7 +285,8 @@ def _attach_features(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     args = build_parser().parse_args(_attach_features(sys.argv[1:] if argv is None else argv))
     try:
-        return _dispatch(args)
+        args.run(args)
+        return EXIT_OK
     except NonFiniteLoss as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

@@ -20,7 +20,7 @@ import math
 import os
 import struct
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import islice
 
 import numpy as np
@@ -73,10 +73,6 @@ class FeatureSchema:
     @property
     def label_column(self) -> str:
         return next(c.name for c in self.columns if c.kind == KIND_LABEL)
-
-    def to_json(self) -> dict:
-        return {"columns": [{"name": c.name, "kind": c.kind} for c in self.columns],
-                "selected_features": list(self.selected_features)}
 
     @classmethod
     def from_json(cls, obj, where: str = "schema") -> "FeatureSchema":
@@ -363,6 +359,6 @@ def load_dataset(path: str) -> DatasetSplit:
 
 def save_sidecar(path: str, schema: FeatureSchema, enc: EncodingMap,
                  stats: NormStats, meta: dict | None = None) -> None:
-    doc = {"schema": schema.to_json(), "encoding": enc.codes,
+    doc = {"schema": asdict(schema), "encoding": enc.codes,
            "norm_stats": stats.stats, "meta": meta or {}}
     write_atomic(path, (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8"))

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -7,11 +8,13 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from edgenet import cli
 from edgenet.cli import _model_scores, build_parser, main
 from edgenet.config import RunConfig, config_from_dict
 from edgenet.data_pipeline import (ColumnSpec, DatasetSplit, FeatureSchema, save_dataset,
                                    split_indices)
 from edgenet.lstm_net import NetworkParams, init_params, zeros_params
+from edgenet.metrics import RocCurve
 from edgenet.model_store import load_model, save_dense, save_quantized
 from edgenet.pruning import apply_masks, compute_masks
 from edgenet.quantizer import quantize_model, quantized_scores
@@ -248,11 +251,13 @@ class TestErrorPaths:
         assert rc == 3
 
     @pytest.mark.parametrize("command", [["evaluate", "m.eidm", "d.eidd"],
-                                         ["predict", "m.eidm", "--features", "0.5"]],
-                             ids=["evaluate", "predict"])
+                                         ["predict", "m.eidm", "--features", "0.5"],
+                                         ["predict", "m.eidm", "--features", "x"]],
+                             ids=["evaluate", "predict", "predict_bad_features"])
     @pytest.mark.parametrize("threshold", ["1.5", "-3", "nan"])
     def test_bad_threshold(self, tmp_path, capsys, command, threshold):
-        # the files do not exist: the check comes before any file is read
+        # the files do not exist: the check comes before any file is read,
+        # and before --features is parsed
         rc = main(command + ["--threshold", threshold])
         assert rc == 1
         assert "threshold" in capsys.readouterr().err
@@ -830,7 +835,27 @@ class TestSizeReport:
         assert not out.exists()
 
 
+MINIMAL_ARGV = {
+    "preprocess": ["--config", "c.json", "--csv", "d.csv", "--out", "o"],
+    "train": ["--config", "c.json", "--data", "d", "--out", "o"],
+    "quantize": ["m.eidm", "q.eidm"],
+    "evaluate": ["m.eidm", "d.eidd"],
+    "size-report": ["--baseline", "m.eidm"],
+    "predict": ["m.eidm", "--features", "0.5"],
+    "dump": ["m.eidm"],
+}
+
+
 class TestParser:
+    @pytest.mark.parametrize("command", sorted(MINIMAL_ARGV))
+    def test_each_command_parses_to_its_handler(self, command):
+        args = build_parser().parse_args([command, *MINIMAL_ARGV[command]])
+        assert args.run is getattr(cli, "cmd_" + command.replace("-", "_"))
+
+    def test_every_command_is_listed(self):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(sub.choices) == sorted(MINIMAL_ARGV)
+
     def test_built_once_and_eval_flags_stay_per_call(self, tmp_path, capsys):
         assert build_parser() is build_parser()
         for name in ("a", "b"):
@@ -937,6 +962,21 @@ class TestEvaluateEdgeCases:
         assert "single-class" in capsys.readouterr().err
         assert sorted(os.listdir(reused)) == ["metrics.csv"]
 
+    def test_roc_csv_formatted_only_when_written(self, tmp_path, capsys, monkeypatch):
+        model = str(tmp_path / "zero.eidm")
+        save_dense(zeros_params((10, 8), dropout_rate=0.0), model)
+        data = str(tmp_path / "two.eidd")
+        save_dataset(DatasetSplit(features=np.random.default_rng(2).random((10, 10)),
+                                  labels=np.arange(10) % 2), data)
+        calls = []
+        csv = RocCurve.csv
+        monkeypatch.setattr(RocCurve, "csv", lambda roc: calls.append(roc) or csv(roc))
+        assert main(["evaluate", model, data]) == 0
+        assert "AUC," in capsys.readouterr().out and calls == []
+        assert main(["evaluate", model, data, "--out", str(tmp_path / "eval")]) == 0
+        assert len(calls) == 1
+        assert (tmp_path / "eval" / "roc.csv").read_text(encoding="utf-8") == csv(calls[0])
+
 
 class TestQuantizeIdempotence:
     def test_quantize_twice_byte_identical(self, workdir):
@@ -950,6 +990,20 @@ class TestQuantizeIdempotence:
         assert main(["quantize", base, q1]) == 0
         assert main(["quantize", q1, q2]) == 0
         assert open(q1, "rb").read() == open(q2, "rb").read()
+
+    @pytest.mark.parametrize("link", [False, True], ids=["same_path", "input_links_output"])
+    def test_ratio_over_the_input_written_in_place(self, tmp_path, capsys, link):
+        model = tmp_path / "m.eidm"
+        save_dense(init_params((3, 8, 8), seed=0), str(model))
+        before = model.stat().st_size
+        model_in = model
+        if link:
+            model_in = tmp_path / "link.eidm"
+            model_in.symlink_to(model)
+        assert main(["quantize", str(model_in), str(model)]) == 0
+        after = model.stat().st_size
+        assert after < before
+        assert f"({before / after:.2f}x smaller)" in capsys.readouterr().out
 
 
 class TestOneScoringPath:

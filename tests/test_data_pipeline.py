@@ -5,6 +5,7 @@ import math
 import struct
 import tracemalloc
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ class TestSchema:
 
     def test_json_round_trip(self):
         s = schema_dur_proto()
-        assert FeatureSchema.from_json(s.to_json()).to_json() == s.to_json()
+        assert FeatureSchema.from_json(asdict(s)) == s
 
 
 class TestLoadCsv:
@@ -481,10 +482,10 @@ class TestDatasetFile:
         save_sidecar(path, schema, enc, stats, meta={"seed": 4})
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        assert doc == {"schema": schema.to_json(), "encoding": enc.codes,
+        assert doc == {"schema": asdict(schema), "encoding": enc.codes,
                        "norm_stats": {"dur": [0.0, 9.5], "proto": [0.0, 1.0]},
                        "meta": {"seed": 4}}
-        assert FeatureSchema.from_json(doc["schema"]).to_json() == schema.to_json()
+        assert FeatureSchema.from_json(doc["schema"]) == schema
         assert {k: tuple(v) for k, v in doc["norm_stats"].items()} == stats.stats
 
     @pytest.mark.parametrize("patch", ["label", "feature"])
